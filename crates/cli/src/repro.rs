@@ -640,9 +640,7 @@ pub fn guard(
 /// thread vs handed to the background supervisor) and the adversarial
 /// scenario (churn ns/op and worst chain length benign, under a
 /// brute-forced collision flood, and after the collision-storm detector
-/// escalates to the keyed hasher, plus the escalation latency) and the
-/// synthesis scenario (ns per candidate search at 1/2/4/8 worker threads
-/// per family, plus the memoized plan-cache hit as the `jobs = 0` row).
+/// escalates to the keyed hasher, plus the escalation latency).
 /// `sepe-repro` writes it as `BENCH_<date>.json`, the machine-readable
 /// perf trajectory.
 ///
@@ -651,7 +649,7 @@ pub fn guard(
 pub fn bench_json(scale: &RunScale) -> String {
     use sepe_driver::bench_json::{
         adversarial_records, concurrency_records, metrics_snapshot, migration_records,
-        resynth_records, run_suite, synthesis_records, to_json, today_utc, BenchConfig,
+        resynth_records, run_suite, to_json, today_utc, BenchConfig,
     };
     let config = BenchConfig::from_scale(scale);
     let records = run_suite(scale, &config);
@@ -659,7 +657,6 @@ pub fn bench_json(scale: &RunScale) -> String {
     let concurrency = concurrency_records(scale, &config);
     let resynthesis = resynth_records(scale, &config);
     let adversarial = adversarial_records(scale, &config);
-    let synthesis = synthesis_records(scale, &config);
     let metrics = metrics_snapshot(scale, &config);
     to_json(
         &today_utc(),
@@ -668,7 +665,6 @@ pub fn bench_json(scale: &RunScale) -> String {
         &concurrency,
         &resynthesis,
         &adversarial,
-        &synthesis,
         &metrics,
     )
     .to_string()

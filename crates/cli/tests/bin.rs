@@ -609,70 +609,6 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         }
     }
 
-    // The synthesis scenario rides in the same document: per (format,
-    // family) a row at 1/2/4/8 worker threads plus the memoized plan-cache
-    // row at jobs = 0, fields pinned by the fixture. The candidate count
-    // must be identical at every thread count (the determinism claim) and
-    // zero on the cache row (no search ran).
-    let synthesis_fields: Vec<&str> = schema
-        .get("synthesis_fields")
-        .as_arr()
-        .expect("synthesis_fields list")
-        .iter()
-        .filter_map(|j| j.as_str())
-        .collect();
-    let synthesis = doc.get("synthesis").as_arr().expect("synthesis array");
-    assert!(!synthesis.is_empty(), "baseline has no synthesis rows");
-    assert_eq!(
-        synthesis.len() % 5,
-        0,
-        "jobs come in 0 (cached) / 1 / 2 / 4 / 8 quintuples"
-    );
-    let mut cell_candidates: std::collections::BTreeMap<(String, String), f64> =
-        std::collections::BTreeMap::new();
-    for row in synthesis {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
-            let keys: Vec<&str> = map.keys().map(String::as_str).collect();
-            assert_eq!(
-                keys, synthesis_fields,
-                "synthesis fields drifted from the fixture"
-            );
-        } else {
-            panic!("synthesis row is not a JSON object");
-        }
-        match (
-            row.get("jobs"),
-            row.get("ns_per_synth"),
-            row.get("speedup"),
-            row.get("candidates"),
-        ) {
-            (
-                sepe_core::plan_io::Json::Num(jobs),
-                sepe_core::plan_io::Json::Num(ns),
-                sepe_core::plan_io::Json::Num(speedup),
-                sepe_core::plan_io::Json::Num(candidates),
-            ) => {
-                assert!([0.0, 1.0, 2.0, 4.0, 8.0].contains(jobs), "jobs {jobs}");
-                assert!(*ns > 0.0 && ns.is_finite(), "ns_per_synth {ns}");
-                assert!(*speedup > 0.0 && speedup.is_finite(), "speedup {speedup}");
-                let format = row.get("format").as_str().expect("format").to_string();
-                let family = row.get("family").as_str().expect("family").to_string();
-                if *jobs == 0.0 {
-                    assert_eq!(*candidates, 0.0, "cache row scores no candidates");
-                } else {
-                    let seen = cell_candidates
-                        .entry((format, family))
-                        .or_insert(*candidates);
-                    assert!(
-                        (*seen - *candidates).abs() < f64::EPSILON,
-                        "candidate count varies with thread count"
-                    );
-                }
-            }
-            other => panic!("non-numeric synthesis measurements: {other:?}"),
-        }
-    }
-
     // The observability snapshot rides in the same document: a complete
     // `sepe-metrics/v1` subtree that must survive the strict typed parser.
     let metrics_schema = schema

@@ -1,13 +1,12 @@
 //! Memoized plan cache for the synthesis search.
 //!
 //! Resynthesis (supervisor deadlines, re-key escalations, drift on a hot
-//! container) repeatedly asks for a plan for the *same* key format. The
-//! search is deterministic — a given `(pattern, family)` always yields the
-//! same [`Plan`] under the same search version — so its result can be
-//! memoized. [`PlanCache`] keys entries by a canonical pattern
-//! fingerprint, the hash family, and [`SEARCH_VERSION`]; bumping the
-//! version when the search algorithm changes invalidates every stale
-//! entry without any explicit flush.
+//! container) repeatedly asks for a plan for the *same* key format.
+//! Synthesis is deterministic — a given `(pattern, family)` always yields
+//! the same [`Plan`] — so its result can be memoized. [`PlanCache`] keys
+//! entries by a canonical pattern fingerprint and the hash family. The
+//! cache lives only in memory, so every entry was produced by the
+//! synthesizer of the running binary.
 //!
 //! Plans are independent of the ISA and the seed (those are applied at
 //! hash-construction time, not at search time), so one cached plan serves
@@ -25,11 +24,6 @@ use crate::pattern::KeyPattern;
 use crate::plan_io;
 use crate::synth::{Family, Plan};
 
-/// Version of the candidate-cover search algorithm. Part of every
-/// [`CacheKey`]: entries produced by an older search are never returned
-/// once the algorithm changes, because their key no longer matches.
-pub const SEARCH_VERSION: u32 = 1;
-
 /// Default number of cached plans when no capacity is given.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
@@ -40,35 +34,29 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// allocation: lookups stay cheap even for wide patterns.
 #[must_use]
 pub fn pattern_fingerprint(pattern: &KeyPattern) -> u64 {
-    let mut buf = Vec::with_capacity(pattern.bytes().len() * 2 + 8);
-    for b in pattern.bytes() {
-        buf.push(b.const_mask());
-        buf.push(b.const_bits());
-    }
-    buf.extend_from_slice(&(pattern.min_len() as u64).to_le_bytes());
-    plan_io::fnv1a64(&buf)
+    let bytes = pattern
+        .bytes()
+        .iter()
+        .flat_map(|b| [b.const_mask(), b.const_bits()]);
+    plan_io::fnv1a64(bytes.chain((pattern.min_len() as u64).to_le_bytes()))
 }
 
-/// Cache key: pattern fingerprint + family + search version.
+/// Cache key: pattern fingerprint + family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`pattern_fingerprint`] of the key format.
     pub fingerprint: u64,
     /// Hash family the plan was synthesized for.
     pub family: Family,
-    /// [`SEARCH_VERSION`] at insertion time.
-    pub search_version: u32,
 }
 
 impl CacheKey {
-    /// The key under which a `(pattern, family)` search is memoized by
-    /// the *current* search version.
+    /// The key under which a `(pattern, family)` search is memoized.
     #[must_use]
-    pub fn current(pattern: &KeyPattern, family: Family) -> Self {
+    pub fn new(pattern: &KeyPattern, family: Family) -> Self {
         CacheKey {
             fingerprint: pattern_fingerprint(pattern),
             family,
-            search_version: SEARCH_VERSION,
         }
     }
 }
@@ -116,11 +104,11 @@ impl PlanCache {
         PlanCache::new(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Looks up the memoized plan for `(pattern, family)` under the
-    /// current [`SEARCH_VERSION`], refreshing its LRU stamp on a hit.
+    /// Looks up the memoized plan for `(pattern, family)`, refreshing its
+    /// LRU stamp on a hit.
     #[must_use]
     pub fn lookup(&self, pattern: &KeyPattern, family: Family) -> Option<Plan> {
-        let key = CacheKey::current(pattern, family);
+        let key = CacheKey::new(pattern, family);
         let mut inner = self
             .inner
             .lock()
@@ -146,7 +134,7 @@ impl PlanCache {
     /// Memoizes `plan` for `(pattern, family)`, evicting the least
     /// recently touched entry when the cache is full.
     pub fn insert(&self, pattern: &KeyPattern, family: Family, plan: Plan) {
-        let key = CacheKey::current(pattern, family);
+        let key = CacheKey::new(pattern, family);
         let mut inner = self
             .inner
             .lock()
@@ -251,6 +239,31 @@ mod tests {
 
     fn pattern(re: &str) -> KeyPattern {
         Regex::compile(re).expect("test regex compiles")
+    }
+
+    #[test]
+    fn fingerprint_equals_fnv_of_the_serialized_pattern() {
+        // The streamed fingerprint hashes exactly this serialized layout:
+        // per-byte (const_mask, const_bits) pairs, then min_len as a
+        // little-endian u64.
+        for p in [
+            pattern(r"[0-9]{3}-[0-9]{2}-[0-9]{4}"),
+            pattern(r"[a-z]{5,40}"),
+            pattern(r"key_[0-9]{4,16}"),
+            KeyPattern::of_key(b"always-the-same!"),
+            KeyPattern::with_min_len(Vec::new(), 0),
+        ] {
+            let mut buf = Vec::new();
+            for b in p.bytes() {
+                buf.push(b.const_mask());
+                buf.push(b.const_bits());
+            }
+            buf.extend_from_slice(&(p.min_len() as u64).to_le_bytes());
+            assert_eq!(
+                pattern_fingerprint(&p),
+                plan_io::fnv1a64(buf.iter().copied())
+            );
+        }
     }
 
     #[test]

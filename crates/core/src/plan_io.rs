@@ -775,9 +775,9 @@ pub struct SynthBundle {
 /// it catches truncation, bit rot and hand-edits, not a deliberate forger
 /// (who could regenerate it; the semantic validation is what stops a
 /// hostile plan).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
+    for b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -800,7 +800,7 @@ fn bundle_payload_to_json(bundle: &SynthBundle) -> Json {
 #[must_use]
 pub fn bundle_to_json(bundle: &SynthBundle) -> Json {
     let payload = bundle_payload_to_json(bundle);
-    let checksum = fnv1a64(payload.to_string().as_bytes());
+    let checksum = fnv1a64(payload.to_string().bytes());
     let Json::Obj(mut map) = payload else {
         unreachable!("bundle payload is always an object")
     };
@@ -840,7 +840,7 @@ pub fn bundle_from_json(json: &Json) -> Result<SynthBundle, SynthError> {
     let mut payload = map.clone();
     payload.remove("version");
     payload.remove("checksum");
-    let computed = fnv1a64(Json::Obj(payload).to_string().as_bytes());
+    let computed = fnv1a64(Json::Obj(payload).to_string().bytes());
     if stored != computed {
         return Err(SynthError::PlanChecksum { stored, computed });
     }

@@ -360,37 +360,15 @@ pub fn default_runner() -> SynthRunner {
 /// time to plan) into `trace` when instrumentation is compiled in.
 #[must_use]
 pub fn default_runner_with_trace(trace: Option<Arc<EventTrace<ObsEvent>>>) -> SynthRunner {
-    runner_with_trace(trace, 1)
-}
-
-/// The production runner over the scoped-thread candidate search:
-/// identical plans to [`default_runner`] (the search winner is selected
-/// under a schedule-independent total order), with cost evaluation spread
-/// across up to `jobs` workers. `jobs` of 0 or 1 is the sequential path.
-#[must_use]
-pub fn parallel_runner(jobs: usize) -> SynthRunner {
-    runner_with_trace(None, jobs)
-}
-
-/// [`parallel_runner`] recording an [`ObsEvent::SynthSearch`] per
-/// successful synthesis into `trace` when instrumentation is compiled in.
-#[must_use]
-pub fn runner_with_trace(trace: Option<Arc<EventTrace<ObsEvent>>>, jobs: usize) -> SynthRunner {
     Arc::new(move |req, token| {
         let t0 = std::time::Instant::now();
-        let (plan, stats) = crate::synth::synthesize_parallel_with_stats_cancel(
-            &req.widened,
-            req.family,
-            jobs,
-            token,
-        )?;
+        let (plan, stats) = crate::synth::synthesize_with_cancel(&req.widened, req.family, token)?;
         crate::plan_io::validate_plan(&plan)?;
         if sepe_obs::enabled() {
             if let Some(trace) = &trace {
                 trace.push(ObsEvent::SynthSearch {
                     nodes_expanded: stats.nodes_expanded,
                     candidates_rejected: stats.candidates_rejected,
-                    candidates_considered: stats.candidates_considered,
                     time_to_plan_ms: t0.elapsed().as_millis() as u64,
                 });
             }
@@ -544,14 +522,22 @@ impl TagState {
 /// ```
 /// use sepe_core::regex::Regex;
 /// use sepe_core::supervisor::{
-///     MockClock, ResynthSupervisor, SupervisorConfig, SynthRequest,
+///     default_runner, ExecMode, MockClock, ResynthSupervisor, SupervisorConfig, SynthRequest,
 /// };
 /// use sepe_core::synth::Family;
 /// use sepe_core::Isa;
 /// use std::sync::Arc;
 ///
+/// // Inline execution runs each attempt inside `pump`, so the example is
+/// // deterministic; production supervisors use `ResynthSupervisor::new`,
+/// // which runs attempts on worker threads.
 /// let clock = Arc::new(MockClock::new());
-/// let mut sup = ResynthSupervisor::new(SupervisorConfig::default(), clock.clone());
+/// let mut sup = ResynthSupervisor::with_runner(
+///     SupervisorConfig::default(),
+///     clock,
+///     default_runner(),
+///     ExecMode::Inline,
+/// );
 /// let widened = Regex::compile(r"[0-9x]{8}")?;
 /// sup.enqueue(SynthRequest {
 ///     tag: 0,
@@ -562,13 +548,9 @@ impl TagState {
 ///     snapshot_generation: 0,
 /// });
 /// sup.pump();
-/// # let mut spins = 0;
-/// while sup.take_ready().is_empty() {
-///     clock.advance(1);
-///     sup.pump();
-/// #   spins += 1;
-/// #   assert!(spins < 10_000, "synthesis should complete");
-/// }
+/// let ready = sup.take_ready();
+/// assert_eq!(ready.len(), 1);
+/// assert_eq!(ready[0].attempts, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct ResynthSupervisor {
@@ -643,24 +625,6 @@ impl ResynthSupervisor {
             search_trace: Arc::new(EventTrace::new(SEARCH_TRACE_CAPACITY)),
             cache: None,
         }
-    }
-
-    /// A supervisor with the production runner spread over `jobs` search
-    /// workers and a shared [`crate::cache::PlanCache`]. Plans are
-    /// bit-identical to [`ResynthSupervisor::new`]'s at any `jobs` value.
-    #[must_use]
-    pub fn new_parallel(
-        config: SupervisorConfig,
-        clock: Arc<dyn Clock>,
-        jobs: usize,
-        cache: Option<Arc<crate::cache::PlanCache>>,
-    ) -> Self {
-        let search_trace = Arc::new(EventTrace::new(SEARCH_TRACE_CAPACITY));
-        let runner = runner_with_trace(Some(search_trace.clone()), jobs);
-        let mut sup = ResynthSupervisor::with_runner(config, clock, runner, ExecMode::Thread);
-        sup.search_trace = search_trace;
-        sup.cache = cache;
-        sup
     }
 
     /// Attaches a plan cache: attempts whose `(pattern, family)` is
@@ -1414,13 +1378,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_synthesis_transcripts_replay_identically_across_seeds() {
+    fn synthesis_transcripts_replay_identically_across_seeds() {
         // Under MockClock + inline pumping, a supervisor running the
-        // parallel search must replay byte-identically — and produce the
-        // same ready plans as the sequential production runner.
+        // production search must replay byte-identically.
         for seed in [0x5E9Eu64, 0xC4A05, 0xD1F7] {
-            let run_once = |runner: SynthRunner| {
-                let (mut s, clock) = sup(runner, SupervisorConfig::default());
+            let run_once = || {
+                let (mut s, clock) = sup(default_runner(), SupervisorConfig::default());
                 for i in 0..4 {
                     s.enqueue(seeded_request(seed, i));
                     s.pump();
@@ -1433,13 +1396,10 @@ mod tests {
                     .collect();
                 (s.transcript(), plans)
             };
-            let (t1, p1) = run_once(parallel_runner(4));
-            let (t2, p2) = run_once(parallel_runner(4));
-            let (t3, p3) = run_once(default_runner());
-            assert_eq!(t1, t2, "seed {seed:#x}: parallel replay");
-            assert_eq!(p1, p2, "seed {seed:#x}: parallel plans replay");
-            assert_eq!(t1, t3, "seed {seed:#x}: parallel vs sequential transcript");
-            assert_eq!(p1, p3, "seed {seed:#x}: parallel vs sequential plans");
+            let (t1, p1) = run_once();
+            let (t2, p2) = run_once();
+            assert_eq!(t1, t2, "seed {seed:#x}: transcript replay");
+            assert_eq!(p1, p2, "seed {seed:#x}: plans replay");
             assert_eq!(p1.len(), 4, "seed {seed:#x}: all four tags resynthesized");
         }
     }

@@ -5,9 +5,10 @@
 
 use sepe_core::hash::{ByteHash, SynthesizedHash};
 use sepe_core::infer::infer_pattern;
+use sepe_core::plan_io::plan_to_string;
 use sepe_core::regex::render::render;
 use sepe_core::regex::Regex;
-use sepe_core::synth::Family;
+use sepe_core::synth::{synthesize, synthesize_unchecked, Family};
 
 struct FormatCase {
     name: &'static str,
@@ -161,4 +162,27 @@ fn corpus_constant_separators_are_skipped_by_offxor() {
             ops.len()
         );
     }
+}
+
+/// Pins the canonical bytes of every corpus plan, all four families, plus
+/// the force-synthesized RQ7 four-digit Pext plan: any change to synthesis
+/// that moves a single plan byte fails here.
+#[test]
+fn corpus_plans_match_golden() {
+    let mut actual = String::new();
+    for case in CORPUS {
+        let pattern = infer_pattern(case.examples.iter().copied()).expect("non-empty");
+        for family in Family::ALL {
+            let plan = plan_to_string(&synthesize(&pattern, family));
+            actual.push_str(&format!("{}\t{family}\t{plan}\n", case.name));
+        }
+    }
+    let four_digits = Regex::compile(r"\d{4}").expect("regex compiles");
+    let rq7 = plan_to_string(&synthesize_unchecked(&four_digits, Family::Pext));
+    actual.push_str(&format!("rq7-four-digits\tPext-unchecked\t{rq7}\n"));
+    let golden = include_str!("fixtures/plan_golden.txt");
+    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "plan line {} moved", i + 1);
+    }
+    assert_eq!(actual.lines().count(), golden.lines().count());
 }

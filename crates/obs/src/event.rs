@@ -131,9 +131,6 @@ pub enum ObsEvent {
         nodes_expanded: u64,
         /// Candidate targets rejected as already covered.
         candidates_rejected: u64,
-        /// Total candidate covers scored by the search (identical for
-        /// sequential and parallel runs of the same pattern).
-        candidates_considered: u64,
         /// Wall-clock time to the final plan, in milliseconds.
         time_to_plan_ms: u64,
     },
@@ -190,7 +187,6 @@ mod tests {
             ObsEvent::SynthSearch {
                 nodes_expanded: 1,
                 candidates_rejected: 0,
-                candidates_considered: 2,
                 time_to_plan_ms: 3,
             },
         ];
