@@ -31,7 +31,6 @@ struct Options {
     batch: Option<usize>,
     churn: Option<usize>,
     threads: Option<usize>,
-    resynth: bool,
     metrics: bool,
     adversarial: bool,
     synth: bool,
@@ -45,7 +44,6 @@ fn parse_args() -> Result<Options, String> {
     let mut batch = None;
     let mut churn = None;
     let mut threads = None;
-    let mut resynth = false;
     let mut metrics = false;
     let mut adversarial = false;
     let mut synth = false;
@@ -95,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
                 churn = Some(n);
             }
             "--guard" | "-g" => guard = true,
-            "--resynth" => resynth = true,
             "--metrics" => metrics = true,
             "--adversarial" => adversarial = true,
             "--synth" => synth = true,
@@ -123,7 +120,6 @@ fn parse_args() -> Result<Options, String> {
         batch,
         churn,
         threads,
-        resynth,
         metrics,
         adversarial,
         synth,
@@ -301,7 +297,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: keybench [--iterations N] [--guard] [--drift-threshold T] \
-                 [--batch W] [--churn N] [--threads N] [--resynth] [--metrics] \
+                 [--batch W] [--churn N] [--threads N] [--metrics] \
                  [--adversarial] [FILE]\n\
                  \x20      (keys on stdin or FILE, one per line)"
             );
@@ -366,10 +362,6 @@ fn main() -> ExitCode {
     }
     if let Some(n_threads) = opts.threads {
         threads_report(&pattern, &key_strings, n_threads, opts.iterations);
-        return ExitCode::SUCCESS;
-    }
-    if opts.resynth {
-        resynth_report(&pattern, &key_strings, opts.iterations);
         return ExitCode::SUCCESS;
     }
     if opts.metrics {
@@ -548,100 +540,6 @@ fn churn_report(pattern: &KeyPattern, keys: &[String], n_ops: usize) {
         "  degraded steady state {after_ns:>10.1} ns/op  ({:.2} Mops/s)",
         1e3 / after_ns
     );
-}
-
-/// `--resynth`: measures the tail-latency fix for drift-triggered
-/// resynthesis. Fills a guarded map with the user's keys, samples drift
-/// from shadow keys, then runs the same mutating workload twice: once with
-/// the resynthesis running *inline* on the serving thread (the op that
-/// triggers it absorbs the whole synthesis search) and once handed to a
-/// background [`ResynthSupervisor`] worker, where the serving thread only
-/// enqueues the job and later applies the completed plan. Reports
-/// p50/p99/max per-op latency for both modes.
-///
-/// [`ResynthSupervisor`]: sepe_core::ResynthSupervisor
-fn resynth_report(pattern: &KeyPattern, keys: &[String], iterations: usize) {
-    use sepe_core::{ResynthSupervisor, SupervisorConfig, SystemClock};
-    use sepe_keygen::SplitMix64;
-    use std::sync::Arc;
-
-    let ops = iterations.clamp(512, 65_536);
-    let run = |supervised: bool| -> (f64, f64, f64) {
-        let hasher = GuardedHash::from_pattern(pattern, Family::OffXor, CityHash::new());
-        let mut map: UnorderedMap<String, usize, _> = UnorderedMap::with_hasher(hasher);
-        for (i, key) in keys.iter().enumerate() {
-            map.insert(key.clone(), i);
-        }
-        // Shadow keys one byte off-format: the reservoir needs sampled
-        // drift before a resynthesis has anything to widen over.
-        for key in keys.iter().take(32) {
-            map.insert(format!("{key}~"), 0);
-        }
-        let mut supervisor =
-            ResynthSupervisor::new(SupervisorConfig::default(), Arc::new(SystemClock::new()));
-        let mut rng = SplitMix64::new(0xC4A0_5EED);
-        let trigger_at = ops / 2;
-        let mut latencies = Vec::with_capacity(ops);
-        for op in 0..ops {
-            let key = &keys[(rng.next_u64() % keys.len() as u64) as usize];
-            let start = Instant::now();
-            if rng.next_u64().is_multiple_of(2) {
-                map.insert(key.clone(), op);
-            } else {
-                map.remove(key.as_str());
-                map.insert(key.clone(), op);
-            }
-            if op == trigger_at {
-                if supervised {
-                    if let Some(req) = map.resynth_request(0) {
-                        supervisor.enqueue(req);
-                    }
-                } else {
-                    std::hint::black_box(map.resynthesize());
-                }
-            } else if supervised && op > trigger_at {
-                supervisor.pump();
-                for ready in supervisor.take_ready() {
-                    map.apply_resynthesized(&ready);
-                }
-            }
-            latencies.push(start.elapsed().as_secs_f64() * 1e9);
-        }
-        let drain_until = Instant::now() + std::time::Duration::from_secs(5);
-        while supervised && supervisor.active_jobs() > 0 && Instant::now() < drain_until {
-            supervisor.pump();
-            for ready in supervisor.take_ready() {
-                map.apply_resynthesized(&ready);
-            }
-            std::thread::yield_now();
-        }
-        latencies.sort_by(f64::total_cmp);
-        let pick = |p: f64| latencies[(((latencies.len() - 1) as f64) * p).round() as usize];
-        (pick(0.50), pick(0.99), *latencies.last().unwrap())
-    };
-
-    println!(
-        "resynthesis trigger: {} keys resident, {ops} mutating ops per mode, \
-         drift sampled from 32 shadow keys",
-        keys.len()
-    );
-    let (inline_p50, inline_p99, inline_max) = run(false);
-    println!(
-        "  inline      p50 {inline_p50:>8.1} ns  p99 {inline_p99:>10.1} ns  \
-         max {inline_max:>12.1} ns   (synthesis on the serving thread)"
-    );
-    let (sup_p50, sup_p99, sup_max) = run(true);
-    println!(
-        "  supervised  p50 {sup_p50:>8.1} ns  p99 {sup_p99:>10.1} ns  \
-         max {sup_max:>12.1} ns   (synthesis on a worker thread)"
-    );
-    if sup_max > 0.0 {
-        println!(
-            "  worst mutating op: {:.1}x cheaper supervised — the serving \
-             thread never runs the synthesis search",
-            inline_max / sup_max
-        );
-    }
 }
 
 /// `--metrics`: machine-readable observability snapshot. Runs a

@@ -635,9 +635,7 @@ pub fn guard(
 /// migration scenario (churn ops/sec at steady state, while an epoch
 /// drain is in flight, and after it completes) and the concurrency
 /// scenario (the same churn fanned over a lock-striped [`ShardedMap`] at
-/// 1/2/4/8 threads) and the resynthesis scenario (p50/p99/max mutating-op
-/// latency across a resynthesis trigger, synthesis inline on the serving
-/// thread vs handed to the background supervisor) and the adversarial
+/// 1/2/4/8 threads) and the adversarial
 /// scenario (churn ns/op and worst chain length benign, under a
 /// brute-forced collision flood, and after the collision-storm detector
 /// escalates to the keyed hasher, plus the escalation latency).
@@ -648,14 +646,13 @@ pub fn guard(
 #[must_use]
 pub fn bench_json(scale: &RunScale) -> String {
     use sepe_driver::bench_json::{
-        adversarial_records, concurrency_records, metrics_snapshot, migration_records,
-        resynth_records, run_suite, to_json, today_utc, BenchConfig,
+        adversarial_records, concurrency_records, metrics_snapshot, migration_records, run_suite,
+        to_json, today_utc, BenchConfig,
     };
     let config = BenchConfig::from_scale(scale);
     let records = run_suite(scale, &config);
     let migration = migration_records(scale, &config);
     let concurrency = concurrency_records(scale, &config);
-    let resynthesis = resynth_records(scale, &config);
     let adversarial = adversarial_records(scale, &config);
     let metrics = metrics_snapshot(scale, &config);
     to_json(
@@ -663,7 +660,6 @@ pub fn bench_json(scale: &RunScale) -> String {
         &records,
         &migration,
         &concurrency,
-        &resynthesis,
         &adversarial,
         &metrics,
     )

@@ -505,54 +505,6 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         }
     }
 
-    // The resynthesis scenario rides in the same document: an inline and a
-    // supervised row per format, fields pinned by the fixture. The
-    // latencies must be positive and internally ordered (p50 <= p99 <=
-    // max); the inline/supervised *ratio* is machine-dependent and not
-    // asserted here.
-    let resynthesis_fields: Vec<&str> = schema
-        .get("resynthesis_fields")
-        .as_arr()
-        .expect("resynthesis_fields list")
-        .iter()
-        .filter_map(|j| j.as_str())
-        .collect();
-    let resynthesis = doc.get("resynthesis").as_arr().expect("resynthesis array");
-    assert!(!resynthesis.is_empty(), "baseline has no resynthesis rows");
-    assert_eq!(
-        resynthesis.len() % 2,
-        0,
-        "modes come in inline/supervised pairs"
-    );
-    for row in resynthesis {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
-            let keys: Vec<&str> = map.keys().map(String::as_str).collect();
-            assert_eq!(
-                keys, resynthesis_fields,
-                "resynthesis fields drifted from the fixture"
-            );
-        } else {
-            panic!("resynthesis row is not a JSON object");
-        }
-        let mode = row.get("mode").as_str().expect("mode string");
-        assert!(
-            ["inline", "supervised"].contains(&mode),
-            "unknown mode {mode}"
-        );
-        match (row.get("p50_ns"), row.get("p99_ns"), row.get("max_ns")) {
-            (
-                sepe_core::plan_io::Json::Num(p50),
-                sepe_core::plan_io::Json::Num(p99),
-                sepe_core::plan_io::Json::Num(max),
-            ) => {
-                assert!(*p50 > 0.0 && p50.is_finite(), "p50_ns {p50}");
-                assert!(*p99 >= *p50, "p99_ns {p99} below p50_ns {p50}");
-                assert!(*max >= *p99, "max_ns {max} below p99_ns {p99}");
-            }
-            other => panic!("non-numeric resynthesis measurements: {other:?}"),
-        }
-    }
-
     // The adversarial scenario rides in the same document: a benign, an
     // attack, and an escalated row per format, fields pinned by the
     // fixture. The attack row must show the flood landing (long chain),
@@ -727,24 +679,6 @@ fn sepe_repro_guard_drives_a_valid_loaded_plan() {
         "loaded plan never degraded: {row}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn keybench_resynth_reports_both_modes() {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_keybench"));
-    cmd.args(["--resynth", "--iterations", "2000"]);
-    let keys: String = (0..64)
-        .map(|i| format!("{:03}-{:02}-{:04}\n", i * 7 % 1000, i % 100, i * 13 % 10000))
-        .collect();
-    let (stdout, stderr, ok) = run_with_stdin(cmd, &keys);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("resynthesis trigger"), "{stdout}");
-    assert!(stdout.contains("inline"), "{stdout}");
-    assert!(stdout.contains("supervised"), "{stdout}");
-    assert!(
-        stdout.contains("serving thread never runs the synthesis search"),
-        "comparison line missing:\n{stdout}"
-    );
 }
 
 #[test]

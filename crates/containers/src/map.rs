@@ -2,10 +2,9 @@
 
 use crate::policy::{AttackPolicy, AttackSignals, BucketPolicy, DriftPolicy};
 use crate::table::RawTable;
-use sepe_core::guard::{GuardMode, GuardStats, GuardedHash, Resynth};
+use sepe_core::guard::{GuardMode, GuardStats, GuardedHash, Resynth, SynthRequest};
 use sepe_core::hash::keyed::SeedSource;
 use sepe_core::hash::{ByteHash, HashBatch};
-use sepe_core::supervisor::{ReadyPlan, SynthRequest};
 use std::borrow::Borrow;
 
 /// Hysteresis state of the collision-storm detector: consecutive stormy
@@ -630,84 +629,52 @@ where
     /// reset), and opens a migration epoch that re-files stored entries
     /// incrementally. Returns the typed outcome: [`Resynth::NoDrift`] (and
     /// changes nothing) when no off-format keys were observed,
-    /// [`Resynth::SynthFailed`] (and changes nothing) when synthesis or
-    /// plan validation rejected the widened pattern.
+    /// [`Resynth::SynthFailed`] (and changes nothing) when synthesis failed,
+    /// panicked, or produced a plan that does not fit the widened pattern.
     pub fn resynthesize(&mut self) -> Resynth {
-        // Snapshot the current routing before the plan is replaced: entries
-        // are filed under it, whatever mode the map is in right now.
-        let old = self.table.hasher().epoch_frozen(self.table.hasher().mode());
-        let out = self.table.hasher_mut().resynthesize();
-        if out.is_applied() {
-            let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-            self.table.begin_migration(old, rehasher);
-        }
+        let mut out = Resynth::NoDrift;
+        self.resynthesize_by(|h| {
+            out = h.resynthesize();
+            out.is_applied()
+        });
         out
     }
 
-    /// Builds the request a background resynthesis job needs: the
-    /// reservoir-widened pattern and its generation snapshot, stamped with
-    /// `tag` (the supervisor's per-hasher breaker identity). `None` when no
-    /// drift was sampled — there is nothing to enqueue.
-    pub fn resynth_request(&self, tag: u64) -> Option<SynthRequest> {
-        let (widened, snapshot_generation) = self.hasher().resynth_snapshot()?;
-        let specialized = self.hasher().specialized();
-        Some(SynthRequest {
-            tag,
-            widened,
-            family: specialized.family(),
-            isa: specialized.isa(),
-            seed: specialized.seed(),
-            snapshot_generation,
-        })
+    /// The reservoir-widened pattern and the family a resynthesis would
+    /// synthesize, or `None` when no drift was sampled.
+    pub fn resynth_request(&self) -> Option<SynthRequest> {
+        self.hasher().resynth_request()
     }
 
-    /// Serves a drift event straight from a memoized [`PlanCache`]: when
-    /// the widened pattern's plan is already cached (same format drifted
-    /// before, here or on another container), the resynthesized hash is
-    /// installed immediately — no supervisor round-trip, no search. The
-    /// cached plan preserves this hasher's family/ISA/seed (plans are
-    /// independent of all three). Returns whether a cached plan was
-    /// applied; `false` means no drift was sampled or the cache missed,
-    /// and the caller should enqueue [`UnorderedMap::resynth_request`] as
-    /// usual.
-    pub fn resynth_from_cache(&mut self, tag: u64, cache: &sepe_core::PlanCache) -> bool {
-        let Some(request) = self.resynth_request(tag) else {
-            return false;
-        };
-        let Some(plan) = cache.lookup(&request.widened, request.family) else {
-            return false;
-        };
-        let hash = sepe_core::SynthesizedHash::new(plan, request.family, request.isa)
-            .with_seed(request.seed);
-        let ready = ReadyPlan {
-            tag,
-            hash,
-            widened: request.widened,
-            snapshot_generation: request.snapshot_generation,
-            attempts: 0,
-        };
-        self.apply_resynthesized(&ready)
+    /// Serves a drift event from a memoized [`PlanCache`]: when the widened
+    /// pattern's plan is already cached (same format drifted before, here or
+    /// on another container), that plan is validated and installed exactly
+    /// as [`UnorderedMap::resynthesize`] installs a fresh one, with no
+    /// synthesis. Returns whether a plan was installed; `false` means no
+    /// drift was sampled, the cache missed, or the cached plan failed
+    /// validation, and nothing changed.
+    ///
+    /// [`PlanCache`]: sepe_core::PlanCache
+    pub fn resynth_from_cache(&mut self, cache: &sepe_core::PlanCache) -> bool {
+        self.resynthesize_by(|h| h.resynthesize_from_cache(cache))
     }
 
-    /// Applies a plan completed by a background resynthesis job: installs
-    /// the supervisor-validated hash (unless the reservoir generation
-    /// advanced past the job's snapshot — a stale result is discarded) and
-    /// opens a migration epoch to re-file stored entries incrementally.
-    /// The serving path only ever sees this cheap swap; the synthesis
-    /// itself already happened off-thread. Returns whether the plan was
-    /// installed.
-    pub fn apply_resynthesized(&mut self, ready: &ReadyPlan) -> bool {
+    /// Runs one resynthesis `step` on the hasher and, when it installed a
+    /// plan, opens a migration epoch from the routing stored entries are
+    /// filed under to the re-armed one.
+    fn resynthesize_by(
+        &mut self,
+        step: impl FnOnce(&mut GuardedHash<sepe_core::SynthesizedHash, G>) -> bool,
+    ) -> bool {
+        // Snapshot the current routing before the plan is replaced: entries
+        // are filed under it, whatever mode the map is in right now.
         let old = self.table.hasher().epoch_frozen(self.table.hasher().mode());
-        if !self.table.hasher_mut().install_resynthesized(
-            ready.hash.clone(),
-            &ready.widened,
-            ready.snapshot_generation,
-        ) {
-            return false;
+        let applied = step(self.table.hasher_mut());
+        if applied {
+            let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
+            self.table.begin_migration(old, rehasher);
         }
-        let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-        self.table.begin_migration(old, rehasher);
-        true
+        applied
     }
 }
 
@@ -920,49 +887,11 @@ mod tests {
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         m.insert("123-45-6789".to_owned(), 1);
         assert_eq!(m.resynthesize(), sepe_core::guard::Resynth::NoDrift);
-        assert!(m.resynth_request(0).is_none(), "nothing to enqueue either");
+        assert!(m.resynth_request().is_none(), "nothing to widen either");
     }
 
     #[test]
-    fn supervised_request_and_apply_round_trip() {
-        use sepe_core::supervisor::{
-            Enqueue, ExecMode, MockClock, ResynthSupervisor, SupervisorConfig,
-        };
-        use std::sync::Arc;
-        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
-        for i in 0..50u32 {
-            m.insert(format!("{i:03}-11-2222"), i);
-        }
-        for i in 0..50u32 {
-            m.insert(format!("{i:03}-11-222x"), i);
-        }
-        m.degrade_now();
-        let request = m.resynth_request(7).expect("drift was sampled");
-        assert_eq!(request.tag, 7);
-        let clock = Arc::new(MockClock::new());
-        let mut sup = ResynthSupervisor::with_runner(
-            SupervisorConfig::default(),
-            clock,
-            sepe_core::supervisor::default_runner(),
-            ExecMode::Inline,
-        );
-        assert_eq!(sup.enqueue(request), Enqueue::Accepted);
-        sup.pump();
-        let ready = sup.take_ready();
-        assert_eq!(ready.len(), 1);
-        assert!(m.apply_resynthesized(&ready[0]), "fresh result applies");
-        assert_eq!(m.guard_mode(), GuardMode::Guarded);
-        assert!(m.hasher().guard().matches(b"123-11-222x"));
-        for i in 0..50u32 {
-            assert_eq!(m.get(format!("{i:03}-11-2222").as_str()), Some(&i));
-            assert_eq!(m.get(format!("{i:03}-11-222x").as_str()), Some(&i));
-        }
-        // Replaying the same (now stale) result is discarded harmlessly.
-        assert!(!m.apply_resynthesized(&ready[0]), "stale result discarded");
-    }
-
-    #[test]
-    fn cached_plan_resynthesizes_without_a_supervisor_round_trip() {
+    fn cached_plan_resynthesizes_without_a_search() {
         let cache = sepe_core::PlanCache::new(8);
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         for i in 0..50u32 {
@@ -970,18 +899,18 @@ mod tests {
             m.insert(format!("{i:03}-11-222x"), i);
         }
         // Cold cache: the miss changes nothing and the caller would fall
-        // back to the supervisor path.
-        assert!(!m.resynth_from_cache(3, &cache), "cold cache misses");
+        // back to `resynthesize`.
+        assert!(!m.resynth_from_cache(&cache), "cold cache misses");
         assert_eq!(cache.misses(), 1);
         // Prime the cache as a completed search would (same format drifted
         // elsewhere), then the same drift resolves synchronously.
-        let request = m.resynth_request(3).expect("drift was sampled");
+        let request = m.resynth_request().expect("drift was sampled");
         cache.insert(
             &request.widened,
             request.family,
             sepe_core::synthesize(&request.widened, request.family),
         );
-        assert!(m.resynth_from_cache(3, &cache), "warm cache applies");
+        assert!(m.resynth_from_cache(&cache), "warm cache applies");
         assert_eq!(cache.hits(), 1);
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
         assert!(m.hasher().guard().matches(b"123-11-222x"));
@@ -990,7 +919,7 @@ mod tests {
             assert_eq!(m.get(format!("{i:03}-11-222x").as_str()), Some(&i));
         }
         // Guard re-armed: no drift sampled, so nothing to serve.
-        assert!(!m.resynth_from_cache(3, &cache), "no drift after re-arm");
+        assert!(!m.resynth_from_cache(&cache), "no drift after re-arm");
     }
 
     #[test]

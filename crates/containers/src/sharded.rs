@@ -29,10 +29,9 @@
 
 use crate::map::UnorderedMap;
 use crate::policy::{AttackPolicy, BucketPolicy, DriftPolicy};
-use sepe_core::guard::{GuardMode, GuardedHash};
+use sepe_core::guard::{GuardMode, GuardedHash, SynthRequest};
 use sepe_core::hash::keyed::SeedSource;
 use sepe_core::hash::{ByteHash, HashBatch};
-use sepe_core::supervisor::{ReadyPlan, SynthRequest};
 use sepe_obs::{Counter, EventTrace, ObsEvent};
 use std::borrow::Borrow;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -667,9 +666,9 @@ where
     K: Eq + AsRef<[u8]>,
     G: ByteHash + Clone,
 {
-    /// Re-synthesizes shard `i` inline (synchronously, under the shard
-    /// write lock) — the pre-supervisor path, kept for comparison and for
-    /// callers that accept the stall.
+    /// Re-synthesizes shard `i` under its write lock: widen the shard's
+    /// reservoir, synthesize, validate, install, and open a migration
+    /// epoch (see [`UnorderedMap::resynthesize`]).
     ///
     /// # Panics
     ///
@@ -678,45 +677,26 @@ where
         self.write(i).resynthesize()
     }
 
-    /// Builds the background resynthesis request for shard `i`, tagged
-    /// with the shard index so the supervisor's per-tag circuit breaker
-    /// tracks each shard independently. Takes only the shard *read* lock —
-    /// building a request never stalls concurrent readers behind
-    /// synthesis. `None` when the shard sampled no drift.
+    /// Shard `i`'s reservoir-widened pattern and family, or `None` when
+    /// the shard sampled no drift. Takes only the shard *read* lock.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn resynth_request(&self, i: usize) -> Option<SynthRequest> {
-        self.read(i).resynth_request(i as u64)
+        self.read(i).resynth_request()
     }
 
     /// Serves shard `i`'s drift from a memoized plan cache when possible:
-    /// a hit installs the cached plan under the shard write lock and
+    /// a hit is validated and installed under the shard write lock and
     /// returns `true`; a miss (or no sampled drift) changes nothing and
-    /// the caller should fall back to
-    /// [`ShardedMap::resynth_request`] + the supervisor.
+    /// the caller should fall back to [`ShardedMap::resynthesize_shard`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn resynth_shard_from_cache(&self, i: usize, cache: &sepe_core::PlanCache) -> bool {
-        self.write(i).resynth_from_cache(i as u64, cache)
-    }
-
-    /// Applies a plan completed by a background job to the shard named by
-    /// its tag: a cheap hash swap plus opening a migration epoch, under
-    /// the shard write lock. Stale results (the shard's reservoir
-    /// generation advanced past the job's snapshot) and out-of-range tags
-    /// are discarded. Returns whether the plan was installed.
-    pub fn apply_ready(&self, ready: &ReadyPlan) -> bool {
-        let Ok(idx) = usize::try_from(ready.tag) else {
-            return false;
-        };
-        if idx >= self.shards.len() {
-            return false;
-        }
-        self.write(idx).apply_resynthesized(ready)
+        self.write(i).resynth_from_cache(cache)
     }
 }
 
@@ -1097,12 +1077,7 @@ mod tests {
     }
 
     #[test]
-    fn supervised_shard_resynthesis_round_trip() {
-        use sepe_core::supervisor::{
-            default_runner, ExecMode, MockClock, ResynthSupervisor, SupervisorConfig,
-        };
-        use std::sync::Arc;
-
+    fn shard_resynthesis_round_trip() {
         let m = sharded(4);
         for i in 0..400 {
             m.insert(ssn(i), i);
@@ -1123,27 +1098,18 @@ mod tests {
         m.degrade_shard(drifted);
         m.finish_migrations();
 
-        // Undrifted shards have nothing to enqueue.
+        // Undrifted shards have nothing to resynthesize.
         let clean = (0..4).find(|&i| i != drifted).unwrap();
         assert!(m.resynth_request(clean).is_none());
+        assert_eq!(m.resynthesize_shard(clean), sepe_core::Resynth::NoDrift);
 
-        let request = m.resynth_request(drifted).expect("drift was sampled");
-        assert_eq!(request.tag, drifted as u64);
-
-        let clock = Arc::new(MockClock::new());
-        let mut supervisor = ResynthSupervisor::with_runner(
-            SupervisorConfig::default(),
-            clock,
-            default_runner(),
-            ExecMode::Inline,
+        assert!(m.resynth_request(drifted).is_some(), "drift was sampled");
+        assert!(m.resynthesize_shard(drifted).is_applied(), "plan installs");
+        assert_eq!(
+            m.resynthesize_shard(drifted),
+            sepe_core::Resynth::NoDrift,
+            "the reservoir was cleared by the install"
         );
-        supervisor.enqueue(request);
-        supervisor.pump();
-        let ready = supervisor.take_ready();
-        assert_eq!(ready.len(), 1);
-
-        assert!(m.apply_ready(&ready[0]), "fresh plan installs");
-        assert!(!m.apply_ready(&ready[0]), "replay is stale and discarded");
         assert_eq!(m.shard_mode(drifted), GuardMode::Guarded, "shard re-armed");
         m.finish_migrations();
         for i in 0..400 {
@@ -1152,11 +1118,6 @@ mod tests {
         for (key, v) in &off_format {
             assert_eq!(m.get(key.as_str()), Some(*v), "{key} preserved");
         }
-
-        // A plan whose tag names no shard is discarded, not a panic.
-        let mut bogus = ready.into_iter().next().unwrap();
-        bogus.tag = 1_000;
-        assert!(!m.apply_ready(&bogus));
     }
 
     #[test]
@@ -1189,7 +1150,7 @@ mod tests {
         );
         assert!(
             m.resynth_shard_from_cache(drifted, &cache),
-            "warm cache installs without a supervisor"
+            "warm cache installs without a search"
         );
         assert_eq!(cache.hits(), 1);
         assert_eq!(m.shard_mode(drifted), GuardMode::Guarded, "shard re-armed");

@@ -1,7 +1,7 @@
 //! Memoized plan cache for the synthesis search.
 //!
-//! Resynthesis (supervisor deadlines, re-key escalations, drift on a hot
-//! container) repeatedly asks for a plan for the *same* key format.
+//! Resynthesis (drift on a hot container, or on several shards that share
+//! one key format) repeatedly asks for a plan for the *same* key format.
 //! Synthesis is deterministic — a given `(pattern, family)` always yields
 //! the same [`Plan`] — so its result can be memoized. [`PlanCache`] keys
 //! entries by a canonical pattern fingerprint and the hash family. The
@@ -339,7 +339,7 @@ mod tests {
         assert_eq!(snapshot.counter("plan_cache_misses"), Some(1));
         assert_eq!(snapshot.counter("plan_cache_insertions"), Some(1));
         assert_eq!(snapshot.counter("plan_cache_entries"), Some(1));
-        // Double registration is rejected, mirroring the supervisor.
+        // Double registration is rejected.
         assert!(cache.export_metrics(&registry).is_err());
     }
 }

@@ -20,6 +20,7 @@ use crate::infer::infer_pattern;
 use crate::pattern::KeyPattern;
 use crate::synth::Family;
 use crate::SynthesizedHash;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -327,9 +328,9 @@ pub enum GuardMode {
     Keyed = 2,
 }
 
-/// Typed outcome of a resynthesis attempt, so callers (and the resynthesis
-/// supervisor) can distinguish "nothing to do" from "search failed" —
-/// a bare `bool` conflated the two.
+/// Typed outcome of a resynthesis attempt, so callers can distinguish
+/// "nothing to do" from "synthesis failed" — a bare `bool` conflated the
+/// two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resynth {
     /// A widened plan was synthesized, validated and installed; the guard
@@ -338,9 +339,21 @@ pub enum Resynth {
     /// The reservoir holds no off-format keys: there is no drift to
     /// resynthesize for, and nothing was changed.
     NoDrift,
-    /// Synthesis (or plan validation) failed; the hasher's mode, stats and
-    /// reservoir are untouched.
+    /// Synthesis failed, panicked ([`SynthError::Panicked`]) or produced a
+    /// plan that does not fit the widened pattern; the hasher's plan, mode,
+    /// stats and reservoir are untouched.
     SynthFailed(SynthError),
+}
+
+/// What a resynthesis needs: the reservoir-widened pattern and the family
+/// of the specialized hash it replaces (see [`GuardedHash::resynth_request`]).
+#[derive(Debug, Clone)]
+pub struct SynthRequest {
+    /// The pattern widened to cover the original format and every sampled
+    /// off-format key.
+    pub widened: KeyPattern,
+    /// Hash family to synthesize.
+    pub family: Family,
 }
 
 impl Resynth {
@@ -357,23 +370,16 @@ const RESERVOIR_CAP: usize = 64;
 /// A bounded uniform sample of recently observed off-format keys, kept so a
 /// degraded table can re-synthesize a widened pattern that covers the
 /// drifted traffic.
-///
-/// `generation` counts resets: a background resynthesis job snapshots it
-/// when it starts and a completed plan is only installed if the generation
-/// still matches — a job whose reservoir was cleared under it (by a
-/// competing resynthesis) is stale and discarded.
 #[derive(Debug, Default)]
 struct Reservoir {
     keys: Vec<Vec<u8>>,
     seen: u64,
-    generation: u64,
 }
 
 impl Reservoir {
     fn clear(&mut self) {
         self.keys.clear();
         self.seen = 0;
-        self.generation += 1;
     }
 
     fn offer(&mut self, key: &[u8]) {
@@ -702,25 +708,10 @@ impl<F, G> GuardedHash<F, G> {
         self.lock_reservoir().keys.clone()
     }
 
-    /// The reservoir's reset generation — the staleness ticket background
-    /// resynthesis jobs carry (see [`Resynth`] and the supervisor).
-    #[must_use]
-    pub fn reservoir_generation(&self) -> u64 {
-        self.lock_reservoir().generation
-    }
-
     /// A pattern widened to cover both the original format and the sampled
     /// off-format keys, or `None` when the reservoir is empty.
     #[must_use]
     pub fn resynthesize_pattern(&self) -> Option<KeyPattern> {
-        self.resynth_snapshot().map(|(widened, _)| widened)
-    }
-
-    /// One consistent snapshot for a background resynthesis job: the
-    /// reservoir-widened pattern plus the generation it was taken at, read
-    /// under a single reservoir lock. `None` when no drift was sampled.
-    #[must_use]
-    pub fn resynth_snapshot(&self) -> Option<(KeyPattern, u64)> {
         let r = self.lock_reservoir();
         if r.keys.is_empty() {
             return None;
@@ -729,7 +720,7 @@ impl<F, G> GuardedHash<F, G> {
         for key in &r.keys {
             widened.join_key(key);
         }
-        Some((widened, r.generation))
+        Some(widened)
     }
 
     /// Offers one off-format key to the reservoir. Sampling must never
@@ -758,6 +749,16 @@ impl<F, G> GuardedHash<F, G> {
 }
 
 impl<G> GuardedHash<SynthesizedHash, G> {
+    /// The reservoir-widened pattern and the family to synthesize it in, or
+    /// `None` when no drift was sampled.
+    #[must_use]
+    pub fn resynth_request(&self) -> Option<SynthRequest> {
+        Some(SynthRequest {
+            widened: self.resynthesize_pattern()?,
+            family: self.specialized.family(),
+        })
+    }
+
     /// Re-synthesizes the specialized hash from the reservoir-widened
     /// pattern and arms the guard again (mode returns to
     /// [`GuardMode::Guarded`], counters reset).
@@ -772,58 +773,62 @@ impl<G> GuardedHash<SynthesizedHash, G> {
         let seed = self.specialized.seed();
         self.resynthesize_with(|widened| {
             let plan = crate::synth::synthesize(widened, family);
-            crate::plan_io::validate_plan(&plan)?;
             Ok(SynthesizedHash::new(plan, family, isa).with_seed(seed))
         })
     }
 
     /// [`GuardedHash::resynthesize`] with a caller-supplied synthesis
     /// function — the hook the failure-path tests and custom synthesis
-    /// strategies use. `synth` sees the reservoir-widened pattern; an `Err`
-    /// leaves mode, stats and reservoir untouched.
+    /// strategies use. `synth` sees the reservoir-widened pattern and runs
+    /// under `catch_unwind`; an `Err`, a panic or a plan that does not fit
+    /// the widened pattern leaves plan, mode, stats and reservoir
+    /// untouched.
     pub fn resynthesize_with<S>(&mut self, synth: S) -> Resynth
     where
         S: FnOnce(&KeyPattern) -> Result<SynthesizedHash, SynthError>,
     {
-        let Some((widened, _generation)) = self.resynth_snapshot() else {
+        let Some(widened) = self.resynthesize_pattern() else {
             return Resynth::NoDrift;
         };
-        match synth(&widened) {
-            Err(e) => Resynth::SynthFailed(e),
-            Ok(hash) => {
-                self.install(hash, &widened);
-                Resynth::Applied
-            }
-        }
+        let hash = match catch_unwind(AssertUnwindSafe(|| synth(&widened))) {
+            Ok(Ok(hash)) => hash,
+            Ok(Err(e)) => return Resynth::SynthFailed(e),
+            Err(_) => return Resynth::SynthFailed(SynthError::Panicked),
+        };
+        self.install(hash, widened)
     }
 
-    /// Installs a plan produced by a *background* resynthesis job, unless
-    /// it is stale: the job's reservoir-generation snapshot must still
-    /// match (a competing resynthesis bumps the generation when it clears
-    /// the reservoir). Returns whether the plan was installed; a discarded
-    /// stale result changes nothing.
-    pub fn install_resynthesized(
-        &mut self,
-        hash: SynthesizedHash,
-        widened: &KeyPattern,
-        snapshot_generation: u64,
-    ) -> bool {
-        if self.reservoir_generation() != snapshot_generation {
+    /// Serves a resynthesis from `cache`: when it holds a plan for the
+    /// widened pattern, that plan is validated and installed exactly as
+    /// [`GuardedHash::resynthesize`] installs a fresh one. Returns whether a
+    /// plan was installed; `false` means no drift was sampled, the cache
+    /// missed, or the cached plan failed validation.
+    pub fn resynthesize_from_cache(&mut self, cache: &crate::cache::PlanCache) -> bool {
+        let Some(request) = self.resynth_request() else {
             return false;
-        }
-        self.install(hash, widened);
-        true
+        };
+        let Some(plan) = cache.lookup(&request.widened, request.family) else {
+            return false;
+        };
+        let hash = SynthesizedHash::new(plan, request.family, self.specialized.isa())
+            .with_seed(self.specialized.seed());
+        self.install(hash, request.widened).is_applied()
     }
 
-    /// The shared install step: swap the specialized hash, recompile the
-    /// guard, clear the reservoir (bumping its generation), reset the
-    /// counters, and re-arm. Only called with an already-validated hash.
-    fn install(&mut self, hash: SynthesizedHash, widened: &KeyPattern) {
+    /// The one install step of every resynthesis path: validate the plan
+    /// against the widened pattern, then swap the specialized hash,
+    /// recompile the guard, clear the reservoir, reset the counters, and
+    /// re-arm.
+    fn install(&mut self, hash: SynthesizedHash, widened: KeyPattern) -> Resynth {
+        if let Err(e) = crate::plan_io::validate_plan_for(hash.plan(), &widened, hash.family()) {
+            return Resynth::SynthFailed(e);
+        }
         self.specialized = hash;
-        self.guard = FormatGuard::compile(widened);
+        self.guard = FormatGuard::compile(&widened);
         self.lock_reservoir().clear();
         self.stats.reset();
         self.mode.store(GuardMode::Guarded as u8, Ordering::Relaxed);
+        Resynth::Applied
     }
 
     /// Builds a guarded hash by synthesizing `family` for `pattern`.
@@ -945,6 +950,8 @@ mod tests {
     use crate::hash::stl_hash_bytes;
     use crate::regex::Regex;
     use crate::synth::Family;
+    use crate::synth::Plan;
+    use crate::Isa;
 
     #[derive(Clone)]
     struct Stl;
@@ -1188,69 +1195,134 @@ mod tests {
         assert_eq!(guarded.resynthesize(), Resynth::NoDrift);
     }
 
-    #[test]
-    fn failed_resynthesis_leaves_mode_stats_and_reservoir_untouched() {
-        // Satellite regression: a reservoir whose widened pattern the
-        // synthesis function rejects must not half-apply anything.
+    /// A degraded Pext hasher over eight digits whose reservoir holds 50
+    /// drifted keys (a trailing letter).
+    fn drifted_pext() -> GuardedHash<SynthesizedHash, Stl> {
         let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
-        let mut guarded = GuardedHash::from_pattern(&pattern, Family::Pext, Stl);
+        let guarded = GuardedHash::from_pattern(&pattern, Family::Pext, Stl);
         for i in 0..50u32 {
             let _ = guarded.hash_bytes(format!("{i:07}x").as_bytes());
         }
         guarded.degrade();
-        let keys_before = guarded.reservoir_keys();
-        let gen_before = guarded.reservoir_generation();
-        let stats_before = (guarded.stats().in_format(), guarded.stats().off_format());
-        let guard_before = guarded.guard().clone();
-        let out = guarded.resynthesize_with(|widened| {
-            // Simulate from_examples rejecting the widened pattern with an
-            // out-of-bounds-load shape error.
-            Err(SynthError::PlanLoadOutOfBounds {
-                offset: widened.max_len() as u32,
-                width: 8,
-                key_len: widened.max_len(),
-            })
-        });
-        assert!(matches!(out, Resynth::SynthFailed(_)), "{out:?}");
-        assert!(guarded.is_degraded(), "mode untouched");
+        guarded
+    }
+
+    /// Everything a failed resynthesis must leave bit-identical: the plan
+    /// bytes, the guard, the mode, the drift counters and the reservoir.
+    fn resynth_state(g: &GuardedHash<SynthesizedHash, Stl>) -> impl PartialEq + std::fmt::Debug {
+        (
+            crate::plan_io::plan_to_string(g.specialized().plan()),
+            g.guard().clone(),
+            g.mode(),
+            (g.stats().in_format(), g.stats().off_format()),
+            g.reservoir_keys(),
+        )
+    }
+
+    /// Runs `synth` through `resynthesize_with` on a drifted hasher and
+    /// checks it fails with `expect`, changes nothing, and leaves the
+    /// hasher able to resynthesize for real afterwards.
+    fn assert_failed_resynthesis_is_inert<S>(synth: S, expect: &SynthError)
+    where
+        S: FnOnce(&KeyPattern) -> Result<SynthesizedHash, SynthError>,
+    {
+        let mut guarded = drifted_pext();
+        let before = resynth_state(&guarded);
         assert_eq!(
-            (guarded.stats().in_format(), guarded.stats().off_format()),
-            stats_before,
-            "stats untouched"
+            guarded.resynthesize_with(synth),
+            Resynth::SynthFailed(expect.clone())
         );
-        assert_eq!(guarded.reservoir_keys(), keys_before, "reservoir untouched");
-        assert_eq!(guarded.reservoir_generation(), gen_before);
-        assert_eq!(guarded.guard(), &guard_before, "guard untouched");
-        // The same reservoir still resynthesizes fine with a working
-        // synthesizer afterwards.
+        assert_eq!(resynth_state(&guarded), before, "hasher untouched");
+        assert!(!guarded.reservoir.is_poisoned(), "no lock poisoned");
         assert_eq!(guarded.resynthesize(), Resynth::Applied);
+        assert!(guarded.guard().matches(b"0000001x"));
     }
 
     #[test]
-    fn stale_background_results_are_discarded() {
-        let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
-        let mut guarded = GuardedHash::from_pattern(&pattern, Family::OffXor, Stl);
-        for i in 0..50u32 {
-            let _ = guarded.hash_bytes(format!("{i:07}x").as_bytes());
+    fn failing_synthesis_leaves_the_hasher_untouched() {
+        let err = SynthError::PlanLoadOutOfBounds {
+            offset: 8,
+            width: 8,
+            key_len: 9,
+        };
+        assert_failed_resynthesis_is_inert(|_| Err(err.clone()), &err);
+    }
+
+    #[test]
+    fn panicking_synthesis_is_isolated() {
+        // `resume_unwind` skips the panic hook, so the test run stays quiet.
+        assert_failed_resynthesis_is_inert(
+            |_| std::panic::resume_unwind(Box::new("injected synthesis panic")),
+            &SynthError::Panicked,
+        );
+    }
+
+    #[test]
+    fn out_of_bounds_plans_are_rejected_before_install() {
+        let plan = Plan::FixedWords {
+            len: 9,
+            ops: vec![crate::synth::WordOp {
+                offset: 4,
+                mask: u64::MAX,
+                shift: 0,
+            }],
+        };
+        assert_failed_resynthesis_is_inert(
+            |_| Ok(SynthesizedHash::new(plan, Family::Pext, Isa::Native)),
+            &SynthError::PlanLoadOutOfBounds {
+                offset: 4,
+                width: 8,
+                key_len: 9,
+            },
+        );
+    }
+
+    /// A pext plan whose one load extracts all 64 bits of the drifted
+    /// pattern's key. Its first seven bytes are digits, whose top nibble is
+    /// constant, so the mask selects constant bits and validation rejects it.
+    fn full_word_pext_plan() -> Plan {
+        Plan::FixedWords {
+            len: 8,
+            ops: vec![crate::synth::WordOp {
+                offset: 0,
+                mask: u64::MAX,
+                shift: 0,
+            }],
         }
-        let (widened, generation) = guarded.resynth_snapshot().expect("drift sampled");
-        let replacement = SynthesizedHash::from_pattern(&widened, Family::OffXor);
-        // A competing resynthesis lands first and bumps the generation.
-        assert_eq!(guarded.resynthesize(), Resynth::Applied);
-        assert_ne!(guarded.reservoir_generation(), generation);
-        let guard_after_first = guarded.guard().clone();
+    }
+
+    #[test]
+    fn mask_inconsistent_plans_are_rejected_before_install() {
+        assert_failed_resynthesis_is_inert(
+            |_| {
+                Ok(SynthesizedHash::new(
+                    full_word_pext_plan(),
+                    Family::Pext,
+                    Isa::Native,
+                ))
+            },
+            &SynthError::PlanMaskConstBits,
+        );
+    }
+
+    #[test]
+    fn invalid_cached_plans_are_rejected_by_the_same_validation() {
+        let mut guarded = drifted_pext();
+        let request = guarded.resynth_request().expect("drift sampled");
+        let cache = crate::cache::PlanCache::new(4);
+        cache.insert(&request.widened, request.family, full_word_pext_plan());
+        let before = resynth_state(&guarded);
         assert!(
-            !guarded.install_resynthesized(replacement.clone(), &widened, generation),
-            "stale snapshot generation must be discarded"
+            !guarded.resynthesize_from_cache(&cache),
+            "invalid plan rejected"
         );
-        assert_eq!(
-            guarded.guard(),
-            &guard_after_first,
-            "discard changed nothing"
-        );
-        // With the current generation the same plan installs.
-        let current = guarded.reservoir_generation();
-        assert!(guarded.install_resynthesized(replacement, &widened, current));
+        assert_eq!(resynth_state(&guarded), before, "hasher untouched");
+        // A valid cached plan for the same pattern installs.
+        let plan = crate::synth::synthesize(&request.widened, request.family);
+        cache.insert(&request.widened, request.family, plan);
+        assert!(guarded.resynthesize_from_cache(&cache));
+        assert_eq!(guarded.mode(), GuardMode::Guarded);
+        assert!(guarded.guard().matches(b"0000001x"));
     }
 
     #[test]
@@ -1279,8 +1351,8 @@ mod tests {
         let sampled = guarded.reservoir_keys();
         assert!(sampled.contains(&b"1111111x".to_vec()), "{sampled:?}");
         assert!(sampled.contains(&b"2222222x".to_vec()), "{sampled:?}");
-        // Snapshots and resynthesis recover the guard too.
-        assert!(guarded.resynth_snapshot().is_some());
+        // Widening and resynthesis recover the guard too.
+        assert!(guarded.resynth_request().is_some());
         assert_eq!(guarded.resynthesize(), Resynth::Applied);
         assert!(guarded.guard().matches(b"1111111x"));
     }

@@ -78,11 +78,10 @@ pub enum SynthError {
         /// What disagreed, in one phrase.
         detail: String,
     },
-    /// Synthesis was cancelled before it finished: its cooperative
-    /// [`crate::supervisor::CancelToken`] was revoked or its deadline
-    /// expired. The partial work is discarded; retrying is the caller's
-    /// (typically the resynthesis supervisor's) decision.
-    Cancelled,
+    /// Synthesis panicked. Resynthesis runs the synthesis step under
+    /// `catch_unwind`, so a panic becomes this error and the hasher is left
+    /// exactly as it was.
+    Panicked,
 }
 
 impl fmt::Display for SynthError {
@@ -130,9 +129,7 @@ impl fmt::Display for SynthError {
             SynthError::PlanPatternMismatch { detail } => {
                 write!(f, "plan does not fit its declared family/pattern: {detail}")
             }
-            SynthError::Cancelled => {
-                write!(f, "synthesis was cancelled (deadline expired or revoked)")
-            }
+            SynthError::Panicked => write!(f, "synthesis panicked"),
         }
     }
 }
@@ -156,12 +153,6 @@ impl From<ParseRegexError> for SynthError {
 impl From<ExpandError> for SynthError {
     fn from(e: ExpandError) -> Self {
         SynthError::Expand(e)
-    }
-}
-
-impl From<crate::supervisor::SynthCancelled> for SynthError {
-    fn from(_: crate::supervisor::SynthCancelled) -> Self {
-        SynthError::Cancelled
     }
 }
 

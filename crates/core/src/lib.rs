@@ -55,16 +55,11 @@ pub mod multi;
 pub mod pattern;
 pub mod plan_io;
 pub mod regex;
-pub mod supervisor;
 pub mod synth;
 
 pub use bits::Isa;
 pub use cache::{pattern_fingerprint, PlanCache};
-pub use guard::{FormatGuard, GuardMode, GuardedHash, Resynth};
+pub use guard::{FormatGuard, GuardMode, GuardedHash, Resynth, SynthRequest};
 pub use hash::{ByteHash, HashBatch, SynthError, SynthesizedHash};
 pub use pattern::{BytePattern, KeyPattern};
-pub use supervisor::{
-    CancelToken, Clock, MockClock, ReadyPlan, ResynthSupervisor, SupervisorConfig, SynthRequest,
-    SystemClock,
-};
-pub use synth::{synthesize, Family, Plan, SearchStats};
+pub use synth::{synthesize, Family, Plan};

@@ -869,21 +869,36 @@ pub fn bundle_from_json(json: &Json) -> Result<SynthBundle, SynthError> {
 }
 
 /// Checks that a bundle's plan could have been synthesized for its pattern
-/// and family: plan kind matches the family (blocks for Aes, words
+/// and family (see [`validate_plan_for`]).
+///
+/// # Errors
+///
+/// Everything [`validate_plan_for`] rejects.
+pub fn validate_bundle(bundle: &SynthBundle) -> Result<(), SynthError> {
+    validate_plan_for(&bundle.plan, &bundle.pattern, bundle.family)
+}
+
+/// Checks that `plan` could have been synthesized for `pattern` and
+/// `family`: plan kind matches the family (blocks for Aes, words
 /// otherwise), lengths agree with the pattern, pext masks select only
-/// variable bits, and non-pext word loads use the identity mask.
+/// variable bits, and non-pext word loads use the identity mask. This is
+/// the check a plan passes before it is loaded from disk or installed by
+/// resynthesis.
 ///
 /// # Errors
 ///
 /// [`SynthError::PlanPatternMismatch`] or [`SynthError::PlanMaskConstBits`],
 /// plus everything [`validate_plan`] rejects.
-pub fn validate_bundle(bundle: &SynthBundle) -> Result<(), SynthError> {
-    validate_plan(&bundle.plan)?;
+pub fn validate_plan_for(
+    plan: &Plan,
+    pattern: &KeyPattern,
+    family: Family,
+) -> Result<(), SynthError> {
+    validate_plan(plan)?;
     let mismatch = |detail: &str| SynthError::PlanPatternMismatch {
         detail: detail.to_string(),
     };
-    let pattern = &bundle.pattern;
-    match (bundle.family, &bundle.plan) {
+    match (family, plan) {
         (_, Plan::StlFallback) => return Ok(()),
         (Family::Aes, Plan::FixedBlocks { .. } | Plan::VarBlocks { .. }) => {}
         (
@@ -892,7 +907,7 @@ pub fn validate_bundle(bundle: &SynthBundle) -> Result<(), SynthError> {
         ) => {}
         _ => return Err(mismatch("plan kind does not belong to the declared family")),
     }
-    match &bundle.plan {
+    match plan {
         Plan::FixedWords { len, .. } | Plan::FixedBlocks { len, .. } => {
             if !pattern.is_fixed_len() || *len != pattern.max_len() {
                 return Err(mismatch(
@@ -914,10 +929,10 @@ pub fn validate_bundle(bundle: &SynthBundle) -> Result<(), SynthError> {
         min_len: region,
         ops,
         ..
-    } = &bundle.plan
+    } = plan
     {
         for op in ops {
-            if bundle.family == Family::Pext {
+            if family == Family::Pext {
                 let mut variable = 0u64;
                 for i in 0..8 {
                     let pos = op.offset as usize + i;

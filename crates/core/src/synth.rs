@@ -20,9 +20,7 @@
 //!    variable-length formats keep a skip-table prefix plus a word/byte tail
 //!    loop (Figure 8).
 
-use crate::hash::SynthError;
 use crate::pattern::KeyPattern;
-use crate::supervisor::CancelToken;
 
 /// The four synthesized hash families of the paper, in increasing order of
 /// exploited constraints (Figure 3).
@@ -223,53 +221,10 @@ impl Plan {
 /// ```
 #[must_use]
 pub fn synthesize(pattern: &KeyPattern, family: Family) -> Plan {
-    synthesize_with_cancel(pattern, family, &CancelToken::unbounded())
-        .expect("an unbounded token never cancels")
-        .0
-}
-
-/// [`synthesize`] with a cooperative cancellation checkpoint threaded
-/// through the synthesis loops (target scan, mask construction), also
-/// returning the [`SearchStats`] of the run — the entry point the
-/// resynthesis supervisor runs, so a deadline or an explicit cancel stops
-/// synthesis between units of work instead of after the fact.
-///
-/// # Errors
-///
-/// Returns [`SynthError::Cancelled`] once `token` reports cancellation;
-/// the partial plan and its statistics are discarded.
-pub fn synthesize_with_cancel(
-    pattern: &KeyPattern,
-    family: Family,
-    token: &CancelToken,
-) -> Result<(Plan, SearchStats), SynthError> {
-    let t0 = std::time::Instant::now();
-    token.check()?;
-    let mut stats = SearchStats::default();
     if pattern.max_len() < 8 {
-        return Ok((Plan::StlFallback, stats));
+        return Plan::StlFallback;
     }
-    let plan = synthesize_impl(pattern, family, token, &mut stats)?;
-    stats.wall_nanos = t0.elapsed().as_nanos() as u64;
-    Ok((plan, stats))
-}
-
-/// Search statistics of one synthesis run — the solver telemetry that
-/// makes synthesis strategies comparable (SyGuS-style node counts), fed
-/// into the observability layer as `SynthSearch` events.
-///
-/// `nodes_expanded` and `candidates_rejected` are pure functions of
-/// (pattern, family); `wall_nanos` describes this particular run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Byte positions the target scan expanded (one per candidate
-    /// position examined, across every synthesis loop).
-    pub nodes_expanded: u64,
-    /// Candidate targets skipped by the greedy cover because an earlier
-    /// load already covered them.
-    pub candidates_rejected: u64,
-    /// Wall-clock duration of the search, in nanoseconds.
-    pub wall_nanos: u64,
+    synthesize_unchecked(pattern, family)
 }
 
 /// Synthesizes a plan *without* the eight-byte minimum-length guard.
@@ -281,22 +236,9 @@ pub struct SearchStats {
 /// point of that experiment.
 #[must_use]
 pub fn synthesize_unchecked(pattern: &KeyPattern, family: Family) -> Plan {
-    let token = CancelToken::unbounded();
-    synthesize_impl(pattern, family, &token, &mut SearchStats::default())
-        .expect("an unbounded token never cancels")
-}
-
-fn synthesize_impl(
-    pattern: &KeyPattern,
-    family: Family,
-    token: &CancelToken,
-    stats: &mut SearchStats,
-) -> Result<Plan, SynthError> {
     match family {
-        Family::Aes => synthesize_blocks(pattern, token, stats),
-        Family::Naive | Family::OffXor | Family::Pext => {
-            synthesize_words(pattern, family, token, stats)
-        }
+        Family::Aes => synthesize_blocks(pattern),
+        Family::Naive | Family::OffXor | Family::Pext => synthesize_words(pattern, family),
     }
 }
 
@@ -310,18 +252,12 @@ fn synthesize_impl(
 /// strategy for covering points with fixed-width intervals. Any cover's
 /// k-th load can reach no further right than the greedy cover's k-th load,
 /// so placing a load left of its greedy anchor can never save one.
-fn cover_with_loads(
-    targets: &[usize],
-    region_len: usize,
-    width: usize,
-    stats: &mut SearchStats,
-) -> Vec<u32> {
+fn cover_with_loads(targets: &[usize], region_len: usize, width: usize) -> Vec<u32> {
     debug_assert!(region_len >= width);
     let mut loads = Vec::new();
     let mut covered_until = 0usize; // everything below this is covered
     for &t in targets {
         if t < covered_until {
-            stats.candidates_rejected += 1;
             continue;
         }
         let offset = t.min(region_len - width);
@@ -331,12 +267,7 @@ fn cover_with_loads(
     loads
 }
 
-fn synthesize_words(
-    pattern: &KeyPattern,
-    family: Family,
-    token: &CancelToken,
-    stats: &mut SearchStats,
-) -> Result<Plan, SynthError> {
+fn synthesize_words(pattern: &KeyPattern, family: Family) -> Plan {
     let min_len = pattern.min_len();
     let fixed = pattern.is_fixed_len();
     // The region word loads may cover. For variable-length formats, loads
@@ -346,8 +277,6 @@ fn synthesize_words(
 
     let mut targets: Vec<usize> = Vec::new();
     for i in 0..region_len {
-        token.check()?;
-        stats.nodes_expanded += 1;
         match family {
             // Naive ignores the const constraint: every byte is a target.
             Family::Naive => targets.push(i),
@@ -361,7 +290,7 @@ fn synthesize_words(
     }
 
     let (offsets, tail_start) = if region_len >= 8 {
-        let offsets = cover_with_loads(&targets, region_len, 8, stats);
+        let offsets = cover_with_loads(&targets, region_len, 8);
         let tail = offsets
             .last()
             .map_or(0, |&o| o as usize + 8)
@@ -382,7 +311,6 @@ fn synthesize_words(
     let mut ops = Vec::with_capacity(offsets.len());
     let mut covered_until = 0usize;
     for &offset in &offsets {
-        token.check()?;
         let offset_us = offset as usize;
         let overlaps = offset_us < covered_until;
         let (mask, shift) = if family == Family::Pext {
@@ -409,7 +337,7 @@ fn synthesize_words(
         assign_shifts(&mut ops);
     }
 
-    Ok(if fixed {
+    if fixed {
         Plan::FixedWords {
             len: pattern.max_len(),
             ops,
@@ -420,7 +348,7 @@ fn synthesize_words(
             ops,
             tail_start,
         }
-    })
+    }
 }
 
 /// Packs extracted bits: the first load stays at the bottom of the range,
@@ -436,11 +364,7 @@ fn assign_shifts(ops: &mut [WordOp]) {
     }
 }
 
-fn synthesize_blocks(
-    pattern: &KeyPattern,
-    token: &CancelToken,
-    stats: &mut SearchStats,
-) -> Result<Plan, SynthError> {
+fn synthesize_blocks(pattern: &KeyPattern) -> Plan {
     let min_len = pattern.min_len();
     let fixed = pattern.is_fixed_len();
     let region_len = if fixed { pattern.max_len() } else { min_len };
@@ -449,7 +373,7 @@ fn synthesize_blocks(
         // Keys shorter than one AES block: the key is replicated to fill a
         // block (the paper: "Aes requires two 16 byte values; thus, we
         // replicate the key").
-        return Ok(if fixed {
+        return if fixed {
             Plan::FixedBlocks {
                 len: pattern.max_len(),
                 offsets: Vec::new(),
@@ -460,24 +384,22 @@ fn synthesize_blocks(
                 offsets: Vec::new(),
                 tail_start: 0,
             }
-        });
+        };
     }
 
     let mut targets: Vec<usize> = Vec::new();
     for i in 0..region_len {
-        token.check()?;
-        stats.nodes_expanded += 1;
         if !pattern.bytes()[i].is_const() {
             targets.push(i);
         }
     }
-    let offsets = cover_with_loads(&targets, region_len, 16, stats);
+    let offsets = cover_with_loads(&targets, region_len, 16);
     let tail_start = offsets
         .last()
         .map_or(0, |&o| o as usize + 16)
         .max(min_len.min(region_len));
 
-    Ok(if fixed {
+    if fixed {
         Plan::FixedBlocks {
             len: pattern.max_len(),
             offsets,
@@ -488,7 +410,7 @@ fn synthesize_blocks(
             offsets,
             tail_start,
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -646,42 +568,6 @@ mod tests {
             panic!("expected fixed plan");
         };
         assert!(ops.is_empty());
-    }
-
-    #[test]
-    fn deadline_tokens_do_not_change_the_plan() {
-        // A live deadline makes `check` consult the clock every stride of
-        // calls; the plan must not depend on which branch ran.
-        use crate::supervisor::{Clock, MockClock};
-        let clock: std::sync::Arc<dyn Clock> = std::sync::Arc::new(MockClock::new());
-        let token = CancelToken::with_deadline(clock, 1_000);
-        for re in [
-            r"\d{3}-\d{2}-\d{4}",
-            r"(([0-9]{3})\.){3}[0-9]{3}",
-            r"[a-z]{8}[0-9]{0,4}",
-            r"[0-9]{100}",
-            r"\d{4}",
-        ] {
-            let p = pattern(re);
-            for f in Family::ALL {
-                let (plan, _) = synthesize_with_cancel(&p, f, &token).expect("before deadline");
-                assert_eq!(plan, synthesize(&p, f), "{re} {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_synthesis_returns_a_typed_error() {
-        let token = CancelToken::unbounded();
-        token.cancel();
-        let p = pattern(r"[0-9]{100}");
-        for f in Family::ALL {
-            assert_eq!(
-                synthesize_with_cancel(&p, f, &token),
-                Err(SynthError::Cancelled),
-                "{f}"
-            );
-        }
     }
 
     #[test]

@@ -282,143 +282,6 @@ pub fn migration_records(scale: &RunScale, config: &BenchConfig) -> Vec<Migratio
     records
 }
 
-/// One (format, mode) measurement of the resynthesis scenario: per-op
-/// latency of a mutating workload across a resynthesis trigger. In
-/// `inline` mode the triggering operation runs synthesis on the serving
-/// thread (the pre-supervisor behaviour), so the tail latency absorbs the
-/// whole search; in `supervised` mode the trigger only enqueues a job on a
-/// [`ResynthSupervisor`] worker thread and later ops pay a cheap
-/// pump/apply poll. The `p99_ns` gap between the two modes is the headline
-/// number of the supervisor subsystem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResynthRecord {
-    /// Key format name (`ssn`, `ipv4`, …).
-    pub format: String,
-    /// `inline` (synthesis on the serving thread) or `supervised`
-    /// (background worker, serving thread only enqueues and applies).
-    pub mode: String,
-    /// Median mutating-op latency in nanoseconds.
-    pub p50_ns: f64,
-    /// 99th-percentile mutating-op latency in nanoseconds.
-    pub p99_ns: f64,
-    /// Worst single mutating-op latency in nanoseconds — in `inline` mode
-    /// this is the op that ran synthesis.
-    pub max_ns: f64,
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// One timed pass of the resynthesis scenario: mutating ops over a guarded
-/// map with sampled drift, with the resynthesis triggered halfway through —
-/// inline on the serving thread, or through a background supervisor.
-/// Returns the per-op latencies in nanoseconds.
-fn resynth_latency_pass(
-    keys: &[String],
-    pattern: &sepe_core::pattern::KeyPattern,
-    rng: &mut SplitMix64,
-    ops: usize,
-    supervised: bool,
-) -> Vec<f64> {
-    use sepe_core::{ResynthSupervisor, SupervisorConfig, SystemClock};
-    use std::sync::Arc;
-
-    let hasher = GuardedHash::from_pattern(pattern, Family::OffXor, CityHash::new());
-    let mut map: GuardedMap = UnorderedMap::with_hasher(hasher);
-    for (i, key) in keys.iter().enumerate() {
-        map.insert(key.clone(), i as u64);
-    }
-    // Sampled drift: shadow keys one byte off-format, so the reservoir has
-    // something for the resynthesis to widen over (setup, untimed).
-    for key in keys.iter().take(32) {
-        map.insert(format!("{key}~"), 0);
-    }
-    let mut supervisor =
-        ResynthSupervisor::new(SupervisorConfig::default(), Arc::new(SystemClock::new()));
-    let trigger_at = ops / 2;
-    let mut latencies = Vec::with_capacity(ops);
-    for op in 0..ops {
-        let r = rng.next_u64();
-        let key = &keys[(r >> 8) as usize % keys.len()];
-        let start = Instant::now();
-        if r.is_multiple_of(2) {
-            map.insert(key.clone(), r);
-        } else {
-            map.remove(key);
-            map.insert(key.clone(), r);
-        }
-        if op == trigger_at {
-            if supervised {
-                // The serving thread only builds the request and enqueues;
-                // the search runs on the supervisor's worker thread.
-                if let Some(req) = map.resynth_request(0) {
-                    supervisor.enqueue(req);
-                }
-            } else {
-                std::hint::black_box(map.resynthesize());
-            }
-        } else if supervised && op > trigger_at {
-            // The steady-state tax of supervision: a non-blocking poll.
-            supervisor.pump();
-            for ready in supervisor.take_ready() {
-                map.apply_resynthesized(&ready);
-            }
-        }
-        latencies.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    // Drain the background job before the pass returns (untimed): the
-    // measurement is about the serving thread, not worker lifetime.
-    let drain_until = Instant::now() + std::time::Duration::from_secs(5);
-    while supervised && supervisor.active_jobs() > 0 && Instant::now() < drain_until {
-        supervisor.pump();
-        for ready in supervisor.take_ready() {
-            map.apply_resynthesized(&ready);
-        }
-        std::thread::yield_now();
-    }
-    latencies
-}
-
-/// Measures the resynthesis scenario for every format in `scale.formats`,
-/// in both `inline` and `supervised` mode. Latencies are pooled across
-/// sample runs before the percentiles are taken.
-#[must_use]
-pub fn resynth_records(scale: &RunScale, config: &BenchConfig) -> Vec<ResynthRecord> {
-    let mut records = Vec::new();
-    for &format in &scale.formats {
-        let cap = usize::try_from(format.space()).unwrap_or(usize::MAX).max(1);
-        let pool_size = config.pool_size.min(cap).max(1);
-        let mut sampler = KeySampler::new(format, Distribution::Normal, 0x4E5F);
-        let keys = sampler.distinct_pool(pool_size);
-        let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
-        let ops = config.iterations.clamp(256, 4096);
-        for (mode, supervised) in [("inline", false), ("supervised", true)] {
-            let mut pooled = Vec::new();
-            for sample in 0..config.samples.max(1) {
-                let mut rng = SplitMix64::new(0xB0A7 ^ sample as u64);
-                pooled.extend(resynth_latency_pass(
-                    &keys, &pattern, &mut rng, ops, supervised,
-                ));
-            }
-            pooled.sort_by(f64::total_cmp);
-            records.push(ResynthRecord {
-                format: format.name().to_string(),
-                mode: mode.to_string(),
-                p50_ns: percentile(&pooled, 0.50),
-                p99_ns: percentile(&pooled, 0.99),
-                max_ns: pooled.last().copied().unwrap_or(0.0),
-            });
-        }
-    }
-    records
-}
-
 /// One (format, threads) measurement of the concurrency scenario: the
 /// migration-style churn workload fanned across `threads` workers over a
 /// shared [`ShardedMap`]. `speedup` is relative to the single-thread cell
@@ -696,22 +559,17 @@ pub fn metrics_snapshot(scale: &RunScale, config: &BenchConfig) -> sepe_obs::Sna
 ///
 /// Every section is emitted in a **canonical sort order** — `records` by
 /// (family, format, width), `migration` by (format, phase), `concurrency`
-/// by (format, threads), `resynthesis` by (format, mode), `adversarial`
-/// by (format, phase), `metrics` in the canonical `sepe-metrics/v1`
-/// spelling — and object keys are alphabetical (`BTreeMap`),
-/// so two runs over the same measurements produce byte-identical documents
-/// regardless of measurement order, and dated bench files diff cleanly
-/// across commits.
+/// by (format, threads), `adversarial` by (format, phase), `metrics` in
+/// the canonical `sepe-metrics/v1` spelling — and object keys are
+/// alphabetical (`BTreeMap`), so two runs over the same measurements
+/// produce byte-identical documents regardless of measurement order, and
+/// dated bench files diff cleanly across commits.
 #[must_use]
-// One positional slice per document section; a params struct would just
-// restate the schema with extra ceremony.
-#[allow(clippy::too_many_arguments)]
 pub fn to_json(
     date: &str,
     records: &[BenchRecord],
     migration: &[MigrationRecord],
     concurrency: &[ConcurrencyRecord],
-    resynthesis: &[ResynthRecord],
     adversarial: &[AdversarialRecord],
     metrics: &sepe_obs::Snapshot,
 ) -> Json {
@@ -721,8 +579,6 @@ pub fn to_json(
     migration.sort_by(|a, b| (&a.format, &a.phase).cmp(&(&b.format, &b.phase)));
     let mut concurrency: Vec<&ConcurrencyRecord> = concurrency.iter().collect();
     concurrency.sort_by(|a, b| (&a.format, a.threads).cmp(&(&b.format, b.threads)));
-    let mut resynthesis: Vec<&ResynthRecord> = resynthesis.iter().collect();
-    resynthesis.sort_by(|a, b| (&a.format, &a.mode).cmp(&(&b.format, &b.mode)));
     let mut adversarial: Vec<&AdversarialRecord> = adversarial.iter().collect();
     adversarial.sort_by(|a, b| (&a.format, &a.phase).cmp(&(&b.format, &b.phase)));
     let rows: Vec<Json> = records
@@ -764,18 +620,6 @@ pub fn to_json(
             Json::Obj(obj)
         })
         .collect();
-    let resynthesis_rows: Vec<Json> = resynthesis
-        .iter()
-        .map(|r| {
-            let mut obj = BTreeMap::new();
-            obj.insert("format".to_string(), Json::Str(r.format.clone()));
-            obj.insert("mode".to_string(), Json::Str(r.mode.clone()));
-            obj.insert("p50_ns".to_string(), Json::Num(r.p50_ns));
-            obj.insert("p99_ns".to_string(), Json::Num(r.p99_ns));
-            obj.insert("max_ns".to_string(), Json::Num(r.max_ns));
-            Json::Obj(obj)
-        })
-        .collect();
     let adversarial_rows: Vec<Json> = adversarial
         .iter()
         .map(|a| {
@@ -794,7 +638,6 @@ pub fn to_json(
     doc.insert("records".to_string(), Json::Arr(rows));
     doc.insert("migration".to_string(), Json::Arr(migration_rows));
     doc.insert("concurrency".to_string(), Json::Arr(concurrency_rows));
-    doc.insert("resynthesis".to_string(), Json::Arr(resynthesis_rows));
     doc.insert("adversarial".to_string(), Json::Arr(adversarial_rows));
     // The snapshot's canonical spelling is itself JSON built from strings
     // and objects only, so it embeds as a subtree without re-encoding.
@@ -879,13 +722,6 @@ mod tests {
             throughput_mops: 10.0,
             speedup: 2.5,
         }];
-        let resynthesis = vec![ResynthRecord {
-            format: "ssn".to_string(),
-            mode: "supervised".to_string(),
-            p50_ns: 120.0,
-            p99_ns: 480.0,
-            max_ns: 950.0,
-        }];
         let adversarial = vec![AdversarialRecord {
             format: "ssn".to_string(),
             phase: "escalated".to_string(),
@@ -900,7 +736,6 @@ mod tests {
             &records,
             &migration,
             &concurrency,
-            &resynthesis,
             &adversarial,
             &metrics,
         );
@@ -923,14 +758,6 @@ mod tests {
         assert_eq!(conc[0].get("threads").as_u64(), Some(4));
         assert_eq!(conc[0].get("shards").as_u64(), Some(8));
         assert_eq!(conc[0].get("format").as_str(), Some("ssn"));
-        let resy = parsed
-            .get("resynthesis")
-            .as_arr()
-            .expect("resynthesis array");
-        assert_eq!(resy.len(), 1);
-        assert_eq!(resy[0].get("mode").as_str(), Some("supervised"));
-        assert_eq!(resy[0].get("format").as_str(), Some("ssn"));
-        assert_eq!(resy[0].get("p99_ns").as_u64(), Some(480));
         let adv = parsed
             .get("adversarial")
             .as_arr()
@@ -966,13 +793,6 @@ mod tests {
             throughput_mops: 1000.0,
             speedup: 1.0,
         };
-        let mkr = |mode: &str| ResynthRecord {
-            format: "ssn".to_string(),
-            mode: mode.to_string(),
-            p50_ns: 10.0,
-            p99_ns: 20.0,
-            max_ns: 30.0,
-        };
         let mka = |phase: &str| AdversarialRecord {
             format: "ssn".to_string(),
             phase: phase.to_string(),
@@ -986,7 +806,6 @@ mod tests {
             &[mk("aes", 1), mk("aes", 8), mk("pext", 1)],
             &[],
             &[mkc(1), mkc(2), mkc(8)],
-            &[mkr("inline"), mkr("supervised")],
             &[mka("benign"), mka("attack"), mka("escalated")],
             &metrics,
         );
@@ -995,7 +814,6 @@ mod tests {
             &[mk("pext", 1), mk("aes", 8), mk("aes", 1)],
             &[],
             &[mkc(8), mkc(1), mkc(2)],
-            &[mkr("supervised"), mkr("inline")],
             &[mka("escalated"), mka("attack"), mka("benign")],
             &metrics,
         );
@@ -1038,25 +856,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase {phase}"));
             assert!(row.ns_per_op > 0.0 && row.ns_per_op.is_finite(), "{row:?}");
             assert!(row.throughput_mops > 0.0, "{row:?}");
-        }
-    }
-
-    #[test]
-    fn resynth_scenario_measures_both_modes_per_format() {
-        let scale = tiny_scale();
-        let mut config = BenchConfig::from_scale(&scale);
-        config.iterations = 512;
-        config.samples = 1;
-        let records = resynth_records(&scale, &config);
-        assert_eq!(records.len(), scale.formats.len() * 2);
-        for mode in ["inline", "supervised"] {
-            let row = records
-                .iter()
-                .find(|r| r.mode == mode)
-                .unwrap_or_else(|| panic!("missing mode {mode}"));
-            assert!(row.p50_ns > 0.0 && row.p50_ns.is_finite(), "{row:?}");
-            assert!(row.p99_ns >= row.p50_ns, "{row:?}");
-            assert!(row.max_ns >= row.p99_ns, "{row:?}");
         }
     }
 

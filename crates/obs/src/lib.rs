@@ -1,8 +1,8 @@
 //! Unified observability for the SEPE runtime.
 //!
 //! The synthesize → guard → degrade → resynthesize pipeline spans several
-//! subsystems — format guards, migration epochs, lock-striped shards, a
-//! background resynthesis supervisor — and each of them grew its own ad-hoc
+//! subsystems — format guards, migration epochs, lock-striped shards, the
+//! HashDoS escalation ladder — and each of them grew its own ad-hoc
 //! telemetry. This crate gives them one dependency-light surface:
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-atomic primitives with the pinned
@@ -48,7 +48,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use event::{ObsEvent, TransitionKind};
+pub use event::ObsEvent;
 pub use histogram::{Histogram, BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::{metric_id, Registry, RegistryError};

@@ -4,8 +4,7 @@
 //! (no allocation after the ring fills) and never blocks on a reader
 //! longer than a `VecDeque` push. When the ring is full the *incoming*
 //! event is dropped and counted, so the retained prefix stays a faithful,
-//! gap-free transcript of the run's beginning — the property the
-//! supervisor's replay audits rely on. Lock poisoning is recovered: a
+//! gap-free transcript of the run's beginning. Lock poisoning is recovered: a
 //! panicking reader must not take the transcript down with it.
 
 use crate::metrics::Counter;

@@ -48,13 +48,9 @@
 //!   bounded chains after escalation, twin agreement throughout, exact
 //!   escalation-counter transcripts, and that benign churn never trips
 //!   the detector;
-//! * [`supervisor`] — chaos and replay checks for the background
-//!   resynthesis supervisor: scripted synthesis faults (hang, panic,
-//!   typed error, invalid plan) against concurrent container traffic,
-//!   breaker discipline audits, and mock-clock transcript replay
-//!   equality;
-//! * [`synthesis`] — a cancelled mid-flight search must leave no
-//!   poisoned state, and a `PlanCache` hit must equal a fresh search.
+//! * [`synthesis`] — every synthesized plan passes the validation a
+//!   resynthesized plan must pass before install, and a `PlanCache` hit
+//!   must equal a fresh search.
 //!
 //! [`Plan`]: sepe_core::synth::Plan
 
@@ -72,5 +68,4 @@ pub mod interp;
 pub mod invariants;
 pub mod migration;
 pub mod model;
-pub mod supervisor;
 pub mod synthesis;

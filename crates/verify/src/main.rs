@@ -19,21 +19,17 @@
 //! `ShardedMap` model-checked against a `Mutex<HashMap>` twin over
 //! disjoint per-thread key partitions; with `--inject-faults`, drift
 //! bursts degrade individual shards while the other threads keep serving
-//! reads), `supervisor` (the background resynthesis supervisor:
-//! mock-clock transcript replay equality and breaker discipline, plus a
-//! supervised chaos run where worker threads hammer a `ShardedMap` while
-//! background synthesis recovers degraded shards; with `--inject-faults`,
-//! the synthesis runner hangs, panics, errors, and returns invalid plans,
-//! and no container op may ever block on it), `adversarial` (the HashDoS
+//! reads), `adversarial` (the HashDoS
 //! chaos harness: crafted collision storms — including a simulated seed
 //! leak — drive the escalation ladder on single maps, the batched paths,
 //! and a concurrently hammered `ShardedMap`, asserting bounded chains
 //! after escalation, `Mutex<HashMap>`-twin agreement throughout, exact
 //! escalation/rotation/de-escalation counter transcripts, and that
-//! benign churn never escalates), `synthesis` (cancel-mid-search
-//! poisoning checks and `PlanCache` hit/fresh equivalence over the paper
-//! formats and seeded random ones), or `all` (default; faults, migration,
-//! concurrent, supervisor, adversarial and synthesis included). `--inject-faults`
+//! benign churn never escalates), `synthesis` (every synthesized plan
+//! passes install-time validation, and `PlanCache` hits equal fresh
+//! syntheses, over the paper formats and seeded random ones), or `all`
+//! (default; faults, migration, concurrent, adversarial and synthesis
+//! included). `--inject-faults`
 //! alone is a shorthand for `--suite faults`; combined with an explicit
 //! `--suite` it keeps that suite. Exits non-zero on the first failing
 //! suite.
@@ -47,7 +43,7 @@ use sepe_core::Isa;
 use sepe_keygen::{KeyFormat, SplitMix64};
 use sepe_verify::{
     adversarial, batch, concurrent, differential, faults, formats::RandomFormat, invariants,
-    migration, model, supervisor, synthesis,
+    migration, model, synthesis,
 };
 
 struct Options {
@@ -98,7 +94,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "usage: sepe-verify [--formats N] [--keys N] [--ops N] [--seed S] \
                      [--suite differential|batch|invariants|model|faults|migration|\
-                     concurrent|supervisor|adversarial|synthesis|all] [--inject-faults]"
+                     concurrent|adversarial|synthesis|all] [--inject-faults]"
                 );
                 std::process::exit(0);
             }
@@ -525,62 +521,6 @@ fn run_concurrent(opts: &Options) -> Result<String, String> {
     ))
 }
 
-fn run_supervisor(opts: &Options) -> Result<String, String> {
-    let mut rng = SplitMix64::new(opts.seed ^ 0x5FE);
-
-    // Transcript replay: the whole state machine — backoff schedule,
-    // breaker open/half-open/close, fault absorption — must replay
-    // event-for-event from seed + mock clock alone.
-    let mut events = 0usize;
-    let mut replays = 0usize;
-    for _ in 0..3 {
-        events += supervisor::check_replay_transcripts(rng.next_u64())?;
-        replays += 1;
-    }
-    supervisor::check_policy_breaker(opts.seed)?;
-
-    // Supervised chaos: worker threads hammer a ShardedMap while the
-    // supervisor recovers degraded shards in the background. With
-    // `--inject-faults`, synthesis hangs, panics, errors, and returns
-    // invalid plans — and still no container op may block on it.
-    let mut stats = supervisor::SupervisorStats::default();
-    let mut runs = 0usize;
-    for (format, family) in [
-        (KeyFormat::Ssn, Family::Pext),
-        (KeyFormat::Ipv4, Family::OffXor),
-    ] {
-        let pattern = Regex::compile(&format.regex()).expect("compiles");
-        let pool = sample_pattern_keys(&pattern, &mut rng, opts.keys.max(48) * 4);
-        let s = supervisor::check_supervised_chaos(
-            &pattern,
-            family,
-            CityHash::new(),
-            &pool,
-            supervisor::SupervisedRun {
-                threads: 3,
-                ops_per_thread: (opts.ops / 2).max(500),
-                seed: opts.seed ^ runs as u64,
-                faults: opts.inject_faults,
-            },
-        )
-        .map_err(|e| format!("{} {family}: {e}", format.name()))?;
-        stats.absorb(s);
-        runs += 1;
-    }
-
-    Ok(format!(
-        "{replays} transcript replays identical over {events} events, {} threaded ops \
-         across {runs} supervised runs ({} shards degraded, {} background plans applied, \
-         {} injected faults absorbed, worst mutating-op stall {} ms) — no op ever blocked \
-         on synthesis and final contents matched the Mutex<HashMap> twin",
-        stats.ops,
-        stats.degradations,
-        stats.applied,
-        stats.faults,
-        stats.max_mutating_ns / 1_000_000
-    ))
-}
-
 fn run_adversarial(opts: &Options) -> Result<String, String> {
     let mut rng = SplitMix64::new(opts.seed ^ 0xADE);
     let mut stats = adversarial::AdversarialStats::default();
@@ -693,9 +633,9 @@ fn run_synthesis(opts: &Options) -> Result<String, String> {
         corpus.push((format!("random format {i}"), format.pattern()));
     }
 
-    let mut aborted = 0usize;
-    for (name, pattern) in corpus.iter().take(6) {
-        aborted += synthesis::check_cancel_no_poison(name, pattern)?;
+    let mut validated = 0usize;
+    for (name, pattern) in &corpus {
+        validated += synthesis::check_plans_fit(name, pattern)?;
     }
 
     let cache = sepe_core::PlanCache::new(corpus.len() * Family::ALL.len());
@@ -705,8 +645,8 @@ fn run_synthesis(opts: &Options) -> Result<String, String> {
     }
 
     Ok(format!(
-        "{} patterns × {} families: {aborted} cancelled searches left no poisoned \
-         state, {memoized} memoized plans equal to fresh searches ({} cache hits, \
+        "{} patterns × {} families: {validated} plans passed install-time \
+         validation, {memoized} memoized plans equal to fresh searches ({} cache hits, \
          {} misses)",
         corpus.len(),
         Family::ALL.len(),
@@ -732,7 +672,6 @@ fn main() {
         "faults" => vec![("faults", run_faults)],
         "migration" => vec![("migration", run_migration)],
         "concurrent" => vec![("concurrent", run_concurrent)],
-        "supervisor" => vec![("supervisor", run_supervisor)],
         "adversarial" => vec![("adversarial", run_adversarial)],
         "synthesis" => vec![("synthesis", run_synthesis)],
         "all" => vec![
@@ -743,7 +682,6 @@ fn main() {
             ("faults", run_faults),
             ("migration", run_migration),
             ("concurrent", run_concurrent),
-            ("supervisor", run_supervisor),
             ("adversarial", run_adversarial),
             ("synthesis", run_synthesis),
         ],

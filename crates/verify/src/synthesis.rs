@@ -1,87 +1,32 @@
-//! Synthesis checks: a search cancelled mid-flight leaves no poisoned
-//! state (the next search over the same pattern still returns the exact
-//! plan), and a [`PlanCache`] hit is indistinguishable from a fresh
-//! search.
+//! Synthesis checks: every synthesized plan passes the validation a
+//! resynthesized plan must pass before it is installed, and a
+//! [`PlanCache`] hit is indistinguishable from a fresh search.
 
 use sepe_core::cache::PlanCache;
 use sepe_core::pattern::KeyPattern;
-use sepe_core::plan_io::plan_to_string;
-use sepe_core::supervisor::CancelToken;
-use sepe_core::synth::{synthesize, synthesize_with_cancel, Family};
-use sepe_core::SynthError;
+use sepe_core::plan_io::{plan_to_string, validate_plan_for};
+use sepe_core::synth::{synthesize, Family};
 
-/// Cancels searches both before entry and from a racing thread
-/// mid-flight, then requires a fresh search over the same pattern to
-/// still produce the exact plan — an aborted search must leave no
-/// poisoned state behind. Returns the number of cancelled (or
-/// raced) runs.
+/// Requires the plan of every family for `pattern` to pass
+/// [`validate_plan_for`], the check a resynthesized plan must pass before
+/// it is installed — a plan that failed it would leave every resynthesis
+/// of this format degraded. Returns the number of plans checked.
 ///
 /// # Errors
 ///
-/// Reports a pre-cancelled search that did not return
-/// [`SynthError::Cancelled`], a raced search that returned any error
-/// other than `Cancelled`, or a post-abort search whose plan diverged.
-pub fn check_cancel_no_poison(name: &str, pattern: &KeyPattern) -> Result<usize, String> {
-    let mut aborted = 0usize;
+/// Reports the first plan the validation rejects.
+pub fn check_plans_fit(name: &str, pattern: &KeyPattern) -> Result<usize, String> {
     for family in Family::ALL {
-        let expected = plan_to_string(&synthesize(pattern, family));
-
-        // Cancellation observed at entry: typed error, nothing else.
-        let token = CancelToken::unbounded();
-        token.cancel();
-        match synthesize_with_cancel(pattern, family, &token) {
-            Err(SynthError::Cancelled) => aborted += 1,
-            Ok(_) => {
-                return Err(format!(
-                    "{name} {family}: pre-cancelled search returned a plan"
-                ))
-            }
-            Err(e) => {
-                return Err(format!(
-                    "{name} {family}: pre-cancelled search returned {e} instead of Cancelled"
-                ))
-            }
-        }
-
-        // A racing cancel: the search either finishes first (and must
-        // match the uncancelled plan) or observes the cancel (and must
-        // report it as the typed error). Either way the *next* search
-        // must be pristine.
-        let token = CancelToken::unbounded();
-        let racer = {
-            let token = token.clone();
-            std::thread::spawn(move || token.cancel())
-        };
-        let raced = synthesize_with_cancel(pattern, family, &token);
-        racer.join().map_err(|_| "cancel racer panicked")?;
-        match raced {
-            Ok((plan, _)) => {
-                if plan_to_string(&plan) != expected {
-                    return Err(format!(
-                        "{name} {family}: race-completed plan diverged from a fresh search"
-                    ));
-                }
-            }
-            Err(SynthError::Cancelled) => aborted += 1,
-            Err(e) => {
-                return Err(format!(
-                    "{name} {family}: raced search failed with {e} instead of Cancelled"
-                ))
-            }
-        }
-
-        // No poisoned state: a fresh search with a fresh token still
-        // returns the exact plan.
-        let token = CancelToken::unbounded();
-        let (fresh, _) = synthesize_with_cancel(pattern, family, &token)
-            .map_err(|e| format!("{name} {family}: post-abort search failed: {e}"))?;
-        if plan_to_string(&fresh) != expected {
-            return Err(format!(
-                "{name} {family}: post-abort search diverged from an uncancelled one"
-            ));
-        }
+        let plan = synthesize(pattern, family);
+        validate_plan_for(&plan, pattern, family).map_err(|e| {
+            format!(
+                "{name} {family}: synthesized plan fails install-time validation: {e}\n\
+                 plan: {}",
+                plan_to_string(&plan)
+            )
+        })?;
     }
-    Ok(aborted)
+    Ok(Family::ALL.len())
 }
 
 /// Feeds a pattern through a [`PlanCache`] and requires the memoized
@@ -141,12 +86,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_checks_pass_for_a_deep_pattern() {
-        let p = pattern(r"[0-9]{100}");
-        let aborted = check_cancel_no_poison("ints", &p).expect("no poisoned state");
-        // The pre-cancelled run always aborts; the raced one may or may
-        // not, so the floor is one abort per family.
-        assert!(aborted >= Family::ALL.len());
+    fn plans_fit_a_deep_and_a_variable_length_pattern() {
+        for re in [r"[0-9]{100}", r"[a-z]{8}[0-9]{0,40}"] {
+            assert_eq!(check_plans_fit(re, &pattern(re)), Ok(Family::ALL.len()));
+        }
     }
 
     #[test]
