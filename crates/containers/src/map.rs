@@ -8,59 +8,15 @@ use sepe_core::hash::{ByteHash, HashBatch};
 use std::borrow::Borrow;
 
 /// Hysteresis state of the collision-storm detector: consecutive stormy
-/// and calm observations, plus the probe-histogram baseline that turns
-/// the cumulative [`sepe_obs::Histogram`] into a per-tick window.
-/// [`AttackPolicy`] is the pure judgment; this is the memory that keeps
-/// one noisy snapshot from flipping the hasher.
-#[derive(Debug, Clone, Copy)]
+/// and calm observations. [`AttackPolicy`] is the pure judgment; this is
+/// the memory that keeps one noisy snapshot from flipping the hasher.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AttackState {
     /// Consecutive observations that looked like a storm.
     storm_streak: u32,
     /// Consecutive observations that looked calm (only counted while on
     /// an escalated rung).
     quiet_streak: u32,
-    /// Probe-length bucket counts at the previous detector tick. The
-    /// histogram is monotone, so judging its lifetime p99 would keep a
-    /// long-past storm "visible" forever; each tick diffs against this
-    /// baseline and judges only the probes since the last one.
-    probe_baseline: [u64; sepe_obs::histogram::BUCKETS],
-}
-
-impl Default for AttackState {
-    fn default() -> Self {
-        AttackState {
-            storm_streak: 0,
-            quiet_streak: 0,
-            probe_baseline: [0; sepe_obs::histogram::BUCKETS],
-        }
-    }
-}
-
-/// Upper bound on the `q`-quantile of the probe-length observations
-/// between two bucket-count snapshots (same semantics as
-/// [`sepe_obs::Histogram::quantile`], over the delta). `None` when the
-/// window saw nothing.
-fn windowed_quantile(
-    before: &[u64; sepe_obs::histogram::BUCKETS],
-    after: &[u64; sepe_obs::histogram::BUCKETS],
-    q: f64,
-) -> Option<u64> {
-    let mut total = 0u64;
-    for (b, a) in before.iter().zip(after.iter()) {
-        total = total.saturating_add(a.saturating_sub(*b));
-    }
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, (b, a)) in before.iter().zip(after.iter()).enumerate() {
-        seen = seen.saturating_add(a.saturating_sub(*b));
-        if seen >= rank {
-            return Some(sepe_obs::histogram::bucket_bounds(i).1);
-        }
-    }
-    Some(u64::MAX)
 }
 
 /// A chained hash map with prime bucket counts and bucket introspection,
@@ -302,14 +258,17 @@ where
         self.table.stale_reads()
     }
 
-    /// Registers this map's table metrics under `labels`: the
-    /// `table_probe_len` histogram plus the `table_drain_ops`,
-    /// `table_epochs_opened`, `table_epochs_finished`,
-    /// `table_stale_probes`, `table_batch_chunks` and `table_batch_keys`
-    /// counters. The registry reads the live shared handles; nothing is
-    /// copied and the map's hot paths are unaffected.
+    /// Registers this map's table counters under `labels`: the migration
+    /// counts `table_drain_ops`, `table_epochs_opened` and
+    /// `table_epochs_finished`, the escalation-ladder counts
+    /// `table_escalations`, `table_deescalations` and
+    /// `table_seed_rotations`, and the telemetry counters
+    /// `table_stale_probes`, `table_batch_chunks` and `table_batch_keys`.
+    /// The registry reads the live shared handles; nothing is copied and
+    /// the map's hot paths are unaffected.
     ///
-    /// In `obs`-off builds the ids still register but stay at zero.
+    /// In `obs`-off builds every id still registers; only the three
+    /// telemetry counters stay at zero.
     ///
     /// # Errors
     ///
@@ -506,17 +465,13 @@ where
             }
             GuardMode::Keyed => {
                 self.table.hasher().rotate_seed(seeds);
-                if sepe_obs::enabled() {
-                    self.table.obs().seed_rotations.inc();
-                }
+                self.table.obs().seed_rotations.inc();
                 GuardMode::Keyed
             }
         };
         let rehasher = self.table.hasher().epoch_frozen(next);
         self.table.begin_migration(old, rehasher);
-        if sepe_obs::enabled() {
-            self.table.obs().escalations.inc();
-        }
+        self.table.obs().escalations.inc();
     }
 
     /// Gathers one [`AttackSignals`] snapshot from the table's own
@@ -565,55 +520,37 @@ where
         self.table.hasher().rearm();
         let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
         self.table.begin_migration(old, rehasher);
-        if sepe_obs::enabled() {
-            self.table.obs().deescalations.inc();
-        }
+        self.table.obs().deescalations.inc();
         true
     }
 
-    /// The detector's view of the table right now. Public so harnesses
-    /// and benchmarks can log exactly what the policy judged.
-    ///
-    /// Takes `&mut self` because reading the probe tail advances the
-    /// per-tick histogram window: `probe_p99` covers the probes since the
-    /// *previous* call, so a long-past storm cannot keep the signal hot.
-    pub fn attack_signals(&mut self) -> AttackSignals {
+    /// The detector's view of the table right now: the longest live
+    /// chain, the table shape and the drift window — table state only,
+    /// so the judgment is identical with or without the `obs` feature.
+    /// Public so harnesses and benchmarks can log exactly what the policy
+    /// judged.
+    pub fn attack_signals(&self) -> AttackSignals {
         let (window_off, window_total) = self.drift_stats().window_counts();
-        let probe_p99 = if sepe_obs::enabled() {
-            let counts = self.table.obs().probe_len.bucket_counts();
-            let p99 = windowed_quantile(&self.attack.probe_baseline, &counts, 0.99);
-            self.attack.probe_baseline = counts;
-            if let Some(p) = p99 {
-                self.table
-                    .obs()
-                    .probe_tail
-                    .store(p, std::sync::atomic::Ordering::Relaxed);
-            }
-            p99
-        } else {
-            None
-        };
         AttackSignals {
             max_bucket_len: self.table.max_bucket_len(),
             len: self.len(),
             bucket_count: self.bucket_count(),
             window_off,
             window_total,
-            probe_p99,
         }
     }
 
-    /// Escalation-ladder rungs taken (lifetime, `obs` builds only).
+    /// Escalation-ladder rungs taken (lifetime).
     pub fn escalations(&self) -> u64 {
         self.table.obs().escalations.get()
     }
 
-    /// Quiet-window de-escalations (lifetime, `obs` builds only).
+    /// Quiet-window de-escalations (lifetime).
     pub fn deescalations(&self) -> u64 {
         self.table.obs().deescalations.get()
     }
 
-    /// Keyed-rung seed rotations (lifetime, `obs` builds only).
+    /// Keyed-rung seed rotations (lifetime).
     pub fn seed_rotations(&self) -> u64 {
         self.table.obs().seed_rotations.get()
     }
@@ -1240,10 +1177,8 @@ mod tests {
         m.escalate_now(&seeds);
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert_ne!(m.hasher().current_seed(), seed_before, "rotation rung");
-        if sepe_obs::enabled() {
-            assert_eq!(m.escalations(), 3);
-            assert_eq!(m.seed_rotations(), 1);
-        }
+        assert_eq!(m.escalations(), 3);
+        assert_eq!(m.seed_rotations(), 1);
         // Contents survive every rung; lookups probe both epochs.
         for i in 0..200u32 {
             let key = format!("{:03}-{:02}-{:04}", i % 900, i % 90, i);
@@ -1251,6 +1186,24 @@ mod tests {
         }
         m.finish_migration();
         assert_eq!(m.len(), 200);
+    }
+
+    /// Floods one bucket of `m` with 48 keys, brute-forcing collisions
+    /// against the live (adversary-computable) hash — a family-agnostic
+    /// forgery. Returns the inserted keys.
+    fn flood_one_bucket<H: ByteHash>(m: &mut UnorderedMap<String, u32, H>) -> Vec<String> {
+        let target = m.hash_of(b"000-00-0000!") % m.bucket_count() as u64;
+        let mut attack_keys = Vec::new();
+        let mut i = 0u64;
+        while attack_keys.len() < 48 {
+            let key = format!("atk-{i:016x}");
+            if m.hash_of(key.as_bytes()) % m.bucket_count() as u64 == target {
+                m.insert(key.clone(), 0);
+                attack_keys.push(key);
+            }
+            i += 1;
+        }
+        attack_keys
     }
 
     #[test]
@@ -1269,19 +1222,7 @@ mod tests {
             assert!(!m.maybe_escalate(&policy, &seeds));
         }
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
-        // Flood one bucket, brute-forcing collisions against the live
-        // (adversary-computable) hash — family-agnostic forgery.
-        let target = m.hash_of(b"000-00-0000!") % m.bucket_count() as u64;
-        let mut attack_keys = Vec::new();
-        let mut i = 0u64;
-        while attack_keys.len() < 48 {
-            let key = format!("atk-{i:016x}");
-            if m.hash_of(key.as_bytes()) % m.bucket_count() as u64 == target {
-                m.insert(key.clone(), 0);
-                attack_keys.push(key);
-            }
-            i += 1;
-        }
+        let attack_keys = flood_one_bucket(&mut m);
         // First stormy tick arms the streak, second trips it.
         assert!(!m.maybe_escalate(&policy, &seeds));
         assert!(m.maybe_escalate(&policy, &seeds));
@@ -1296,11 +1237,46 @@ mod tests {
         assert!(m.maybe_deescalate(&policy));
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
         m.finish_migration();
-        if sepe_obs::enabled() {
-            assert_eq!(m.escalations(), 1);
-            assert_eq!(m.deescalations(), 1);
-        }
+        assert_eq!(m.escalations(), 1);
+        assert_eq!(m.deescalations(), 1);
         // The drift counters were reset by the re-arm.
         assert_eq!(m.drift_stats().total(), 0);
+    }
+
+    #[test]
+    fn reading_flood_keys_mid_drain_does_not_rotate_the_seed() {
+        // Regression: the detector used to read a windowed probe-length
+        // p99 from the obs histogram. Lookups of flood keys still filed in
+        // the draining old epoch walk its long chain, so an `obs` build saw
+        // a heavy tail and rotated the fresh seed although the live epoch
+        // held no chain at all. The detector now judges table state only.
+        let mut m = guarded_ssn_map(sepe_core::Family::Pext);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let policy = AttackPolicy {
+            min_len: 32,
+            trip_streak: 2,
+            quiet_streak: 2,
+            ..AttackPolicy::default()
+        };
+        for i in 0..200u32 {
+            m.insert(format!("{:03}-{:02}-{:04}", i % 900, i % 90, i), i);
+        }
+        let attack_keys = flood_one_bucket(&mut m);
+        m.escalate_now(&seeds);
+        m.escalate_now(&seeds);
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        let seed = m.hasher().current_seed();
+        for _ in 0..2 {
+            assert!(m.migration_in_flight(), "the keyed epoch is still draining");
+            for key in &attack_keys {
+                assert_eq!(m.get(key.as_str()), Some(&0), "{key}");
+            }
+            let signals = m.attack_signals();
+            assert!(!policy.storm(&signals), "{signals:?}");
+            assert!(!m.maybe_escalate(&policy, &seeds));
+        }
+        assert_eq!(m.seed_rotations(), 0);
+        assert_eq!(m.hasher().current_seed(), seed, "no spurious rotation");
+        assert_eq!(m.escalations(), 2);
     }
 }

@@ -121,10 +121,11 @@ impl DriftPolicy {
 
 /// One observation of the signals the collision-storm detector consumes.
 ///
-/// Everything here is already maintained by the containers: the longest
-/// bucket chain and table shape from `RawTable`, the drift-window counts
-/// from [`sepe_core::guard::GuardStats`], and (when the `obs` feature is
-/// on) the p99 of the probe-length histogram. [`AttackPolicy::storm`] is a
+/// Everything here is table state the containers already maintain: the
+/// longest bucket chain and table shape from `RawTable`, and the
+/// drift-window counts from [`sepe_core::guard::GuardStats`]. Nothing is
+/// read from the `obs` instruments, so the detector judges identically
+/// whether or not the `obs` feature is on. [`AttackPolicy::storm`] is a
 /// pure function of one such snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackSignals {
@@ -138,8 +139,6 @@ pub struct AttackSignals {
     pub window_off: u64,
     /// Total keys observed in the current drift window.
     pub window_total: u64,
-    /// p99 of the probe-length histogram, when instrumentation is on.
-    pub probe_p99: Option<u64>,
 }
 
 /// When a container should treat collisions as an *attack* rather than
@@ -148,10 +147,10 @@ pub struct AttackSignals {
 /// [`DriftPolicy`] watches the guard's format verdicts; this policy
 /// watches the *shape of the table*. A HashDoS flood is visible as
 /// bucket-occupancy skew — one chain growing far beyond the expected
-/// `len / bucket_count` — and as a heavy probe-length tail, long before
-/// lookups degenerate to O(n). A single snapshot tripping the detector is
-/// not enough: callers escalate only after [`AttackPolicy::trip_streak`]
-/// consecutive stormy observations, and de-escalate only after
+/// `len / bucket_count` — long before lookups degenerate to O(n). A
+/// single snapshot tripping the detector is not enough: callers escalate
+/// only after [`AttackPolicy::trip_streak`] consecutive stormy
+/// observations, and de-escalate only after
 /// [`AttackPolicy::quiet_streak`] consecutive calm ones, so benign churn
 /// (a resize racing a burst of inserts, a short-lived hot bucket) never
 /// flips the hasher.
@@ -194,14 +193,12 @@ pub struct AttackPolicy {
     pub trip_streak: u32,
     /// Consecutive calm observations required before de-escalating.
     pub quiet_streak: u32,
-    /// A probe-length p99 above this is stormy regardless of chain shape.
-    pub probe_p99_limit: u64,
 }
 
 impl Default for AttackPolicy {
-    /// Escalate on a chain ≥ 32 entries *and* ≥ 8× the expected length
-    /// (or a probe p99 past 32), observed twice in a row in a table of at
-    /// least 128 entries; de-escalate after 3 calm observations.
+    /// Escalate on a chain ≥ 32 entries *and* ≥ 8× the expected length,
+    /// observed twice in a row in a table of at least 128 entries;
+    /// de-escalate after 3 calm observations.
     fn default() -> Self {
         AttackPolicy {
             skew_factor: 8.0,
@@ -209,7 +206,6 @@ impl Default for AttackPolicy {
             min_len: 128,
             trip_streak: 2,
             quiet_streak: 3,
-            probe_p99_limit: 32,
         }
     }
 }
@@ -226,12 +222,8 @@ impl AttackPolicy {
             return false;
         }
         let expected = (signals.len as f64 / signals.bucket_count as f64).max(1.0);
-        let skewed = signals.max_bucket_len >= self.min_chain
-            && signals.max_bucket_len as f64 >= self.skew_factor * expected;
-        let heavy_tail = signals
-            .probe_p99
-            .is_some_and(|p99| p99 > self.probe_p99_limit);
-        skewed || heavy_tail
+        signals.max_bucket_len >= self.min_chain
+            && signals.max_bucket_len as f64 >= self.skew_factor * expected
     }
 }
 
@@ -333,27 +325,6 @@ mod tests {
             ..AttackSignals::default()
         };
         assert!(p.storm(&flooded));
-    }
-
-    #[test]
-    fn probe_tail_alone_can_trip_the_detector() {
-        let p = AttackPolicy::default();
-        let s = AttackSignals {
-            max_bucket_len: 2,
-            len: 1000,
-            bucket_count: 1543,
-            probe_p99: Some(33),
-            ..AttackSignals::default()
-        };
-        assert!(p.storm(&s));
-        assert!(!p.storm(&AttackSignals {
-            probe_p99: Some(32),
-            ..s
-        }));
-        assert!(!p.storm(&AttackSignals {
-            probe_p99: None,
-            ..s
-        }));
     }
 
     #[test]

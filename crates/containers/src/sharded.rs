@@ -44,25 +44,15 @@ pub const MAX_SHARDS: usize = 64;
 /// for `MAX_SHARDS` shards degrading and re-arming many times over.
 const SHARD_EVENT_CAPACITY: usize = 1024;
 
-/// Map-wide observability: lock acquisitions, shard degradations, and a
-/// bounded trace of [`ObsEvent::ShardDegrade`] events. Shared handles so
-/// an exported [`sepe_obs::Registry`] reads live values; bumps are gated
-/// on [`sepe_obs::enabled`].
+/// Map-wide observability: the shard degrade count and a bounded trace of
+/// degrade and escalation events. Shared handles so an exported
+/// [`sepe_obs::Registry`] reads live values. The degrade count is product
+/// state, bumped once per actual flip in every build; the event pushes
+/// are telemetry, gated on [`sepe_obs::enabled`].
 #[derive(Debug)]
 struct ShardObs {
-    /// Shard read locks taken (including non-blocking upgrade probes).
-    read_locks: Arc<Counter>,
-    /// Shard write locks taken.
-    write_locks: Arc<Counter>,
     /// Guarded→Degraded transitions, counted once per actual flip.
     shard_degrades: Arc<Counter>,
-    /// Upward escalation-ladder rungs taken across shards (rotations
-    /// included).
-    shard_escalations: Arc<Counter>,
-    /// Quiet-window de-escalations back to specialized hashing.
-    shard_deescalations: Arc<Counter>,
-    /// Keyed-rung seed rotations (a subset of `shard_escalations`).
-    shard_seed_rotations: Arc<Counter>,
     /// Degradation and escalation events, oldest first.
     events: Arc<EventTrace<ObsEvent>>,
 }
@@ -70,12 +60,7 @@ struct ShardObs {
 impl Default for ShardObs {
     fn default() -> Self {
         ShardObs {
-            read_locks: Arc::new(Counter::new()),
-            write_locks: Arc::new(Counter::new()),
             shard_degrades: Arc::new(Counter::new()),
-            shard_escalations: Arc::new(Counter::new()),
-            shard_deescalations: Arc::new(Counter::new()),
-            shard_seed_rotations: Arc::new(Counter::new()),
             events: Arc::new(EventTrace::new(SHARD_EVENT_CAPACITY)),
         }
     }
@@ -192,9 +177,6 @@ where
         // A poisoned shard saw a panic mid-operation; its chains are still
         // structurally sound (no unsafe in the table), so recover rather
         // than cascade the panic through every thread touching the map.
-        if sepe_obs::enabled() {
-            self.obs.read_locks.inc();
-        }
         self.shards[i]
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -202,9 +184,6 @@ where
 
     #[inline]
     fn write(&self, i: usize) -> RwLockWriteGuard<'_, UnorderedMap<K, V, GuardedHash<F, G>>> {
-        if sepe_obs::enabled() {
-            self.obs.write_locks.inc();
-        }
         self.shards[i]
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -404,8 +383,8 @@ where
 
     /// Counts one actual Guarded→Degraded flip of shard `i`.
     fn record_degrade(&self, i: usize) {
+        self.obs.shard_degrades.inc();
         if sepe_obs::enabled() {
-            self.obs.shard_degrades.inc();
             self.obs
                 .events
                 .push(ObsEvent::ShardDegrade { shard: i as u64 });
@@ -458,7 +437,6 @@ where
             .filter(|&i| {
                 let rearmed = self.write(i).maybe_deescalate(policy);
                 if rearmed && sepe_obs::enabled() {
-                    self.obs.shard_deescalations.inc();
                     self.obs
                         .events
                         .push(ObsEvent::ShardDeescalate { shard: i as u64 });
@@ -468,37 +446,40 @@ where
             .count()
     }
 
-    /// Counts one escalation of shard `i`; a rung taken *from* the keyed
-    /// mode is a seed rotation and is recorded as such.
+    /// Records one escalation of shard `i` in the event trace; a rung
+    /// taken *from* the keyed mode is a seed rotation and is recorded as
+    /// such.
     fn record_escalate(&self, i: usize, from: GuardMode) {
         if sepe_obs::enabled() {
-            self.obs.shard_escalations.inc();
-            if from == GuardMode::Keyed {
-                self.obs.shard_seed_rotations.inc();
-                self.obs
-                    .events
-                    .push(ObsEvent::SeedRotation { shard: i as u64 });
+            let shard = i as u64;
+            self.obs.events.push(if from == GuardMode::Keyed {
+                ObsEvent::SeedRotation { shard }
             } else {
-                self.obs
-                    .events
-                    .push(ObsEvent::ShardEscalate { shard: i as u64 });
-            }
+                ObsEvent::ShardEscalate { shard }
+            });
         }
+    }
+
+    /// Sums `count` over the shards, one read lock at a time.
+    fn sum_shards(&self, count: impl Fn(&UnorderedMap<K, V, GuardedHash<F, G>>) -> u64) -> u64 {
+        (0..self.shards.len())
+            .map(|i| count(&self.read(i)))
+            .fold(0, u64::saturating_add)
     }
 
     /// Lifetime count of escalation rungs taken across shards.
     pub fn shard_escalation_count(&self) -> u64 {
-        self.obs.shard_escalations.get()
+        self.sum_shards(UnorderedMap::escalations)
     }
 
     /// Lifetime count of quiet-window de-escalations across shards.
     pub fn shard_deescalation_count(&self) -> u64 {
-        self.obs.shard_deescalations.get()
+        self.sum_shards(UnorderedMap::deescalations)
     }
 
     /// Lifetime count of keyed-rung seed rotations across shards.
     pub fn shard_seed_rotation_count(&self) -> u64 {
-        self.obs.shard_seed_rotations.get()
+        self.sum_shards(UnorderedMap::seed_rotations)
     }
 
     /// Advances in-flight migrations by up to `budget` entries total,
@@ -552,9 +533,9 @@ where
         self.obs.events.snapshot()
     }
 
-    /// Registers the map-wide families (`shard_read_locks`,
-    /// `shard_write_locks`, `shard_degrades`) plus, per shard `i` under
-    /// label `shard="i"`, the shard's table metrics and guard drift
+    /// Registers the map-wide `shard_degrades` counter plus, per shard `i`
+    /// under label `shard="i"`, the shard's table counters (escalations,
+    /// de-escalations and seed rotations among them) and guard drift
     /// counters (see [`UnorderedMap::export_metrics`]).
     ///
     /// Takes each shard's read lock once to reach its shared handles;
@@ -568,20 +549,7 @@ where
         &self,
         registry: &sepe_obs::Registry,
     ) -> Result<(), sepe_obs::RegistryError> {
-        registry.register_counter("shard_read_locks", &[], self.obs.read_locks.clone())?;
-        registry.register_counter("shard_write_locks", &[], self.obs.write_locks.clone())?;
         registry.register_counter("shard_degrades", &[], self.obs.shard_degrades.clone())?;
-        registry.register_counter("shard_escalations", &[], self.obs.shard_escalations.clone())?;
-        registry.register_counter(
-            "shard_deescalations",
-            &[],
-            self.obs.shard_deescalations.clone(),
-        )?;
-        registry.register_counter(
-            "shard_seed_rotations",
-            &[],
-            self.obs.shard_seed_rotations.clone(),
-        )?;
         for i in 0..self.shards.len() {
             let label = i.to_string();
             let labels = [("shard", label.as_str())];
@@ -1178,9 +1146,9 @@ mod tests {
                 assert_eq!(m.shard_mode(i), GuardMode::Guarded, "sibling {i} flipped");
             }
         }
+        assert_eq!(m.shard_escalation_count(), 3);
+        assert_eq!(m.shard_seed_rotation_count(), 1);
         if sepe_obs::enabled() {
-            assert_eq!(m.shard_escalation_count(), 3);
-            assert_eq!(m.shard_seed_rotation_count(), 1);
             let names: Vec<&str> = m.degrade_events().iter().map(ObsEvent::name).collect();
             assert_eq!(
                 names,
@@ -1203,9 +1171,7 @@ mod tests {
         for i in 0..400 {
             assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} lost", ssn(i));
         }
-        if sepe_obs::enabled() {
-            assert_eq!(m.shard_deescalation_count(), 1);
-        }
+        assert_eq!(m.shard_deescalation_count(), 1);
     }
 
     #[test]

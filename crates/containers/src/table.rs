@@ -16,7 +16,7 @@
 use crate::policy::BucketPolicy;
 use crate::primes::grow_bucket_count;
 use sepe_core::hash::ByteHash;
-use sepe_obs::{Counter, Histogram, Registry, RegistryError};
+use sepe_obs::{Counter, Registry, RegistryError};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,16 +74,18 @@ impl Clone for StaleReads {
     }
 }
 
-/// Interior-mutable observability channel of one table: probe-length
-/// distribution, migration-epoch accounting, and batch-kernel usage.
-/// Handles are shared (`Arc`) so a [`Registry`] export reads live values
-/// without the hot path paying registry indirection; every bump is gated
-/// on [`sepe_obs::enabled`], so `obs`-off builds compile the channel away
-/// at the call sites.
+/// The counters of one table, shared (`Arc`) so a [`Registry`] export
+/// reads live values without the hot path paying registry indirection.
+///
+/// Two kinds live here. Transition counts — migration epochs, drained
+/// entries, escalation-ladder rungs — are product state: they move only
+/// when the table changes hash function or drains the epoch that change
+/// opened, so they cost nothing per lookup and read the same whether or
+/// not the `obs` feature is on.
+/// Per-operation telemetry (stale probes, batch chunks) is gated on
+/// [`sepe_obs::enabled`] and compiles away in `obs`-off builds.
 #[derive(Debug)]
 pub(crate) struct TableObs {
-    /// Entries examined per lookup, across both epochs.
-    pub(crate) probe_len: Arc<Histogram>,
     /// Entries drained out of migration epochs (monotone lifetime total).
     pub(crate) drain_ops: Arc<Counter>,
     /// Migration epochs opened.
@@ -105,14 +107,11 @@ pub(crate) struct TableObs {
     pub(crate) deescalations: Arc<Counter>,
     /// Seed rotations on the keyed rung (a subset of `escalations`).
     pub(crate) seed_rotations: Arc<Counter>,
-    /// Last sampled probe-length p99, published by the storm detector.
-    pub(crate) probe_tail: Arc<AtomicU64>,
 }
 
 impl Default for TableObs {
     fn default() -> Self {
         TableObs {
-            probe_len: Arc::new(Histogram::new()),
             drain_ops: Arc::new(Counter::new()),
             epochs_opened: Arc::new(Counter::new()),
             epochs_finished: Arc::new(Counter::new()),
@@ -122,7 +121,6 @@ impl Default for TableObs {
             escalations: Arc::new(Counter::new()),
             deescalations: Arc::new(Counter::new()),
             seed_rotations: Arc::new(Counter::new()),
-            probe_tail: Arc::new(AtomicU64::new(0)),
         }
     }
 }
@@ -137,16 +135,16 @@ impl Clone for TableObs {
 }
 
 impl TableObs {
-    /// Registers every family under `labels`. Ids follow the repo scheme:
-    /// `table_probe_len`, `table_drain_ops`, `table_epochs_opened`,
-    /// `table_epochs_finished`, `table_stale_probes`,
-    /// `table_batch_chunks`, `table_batch_keys`.
+    /// Registers every family under `labels`: `table_drain_ops`,
+    /// `table_epochs_opened`, `table_epochs_finished`,
+    /// `table_stale_probes`, `table_batch_chunks`, `table_batch_keys`,
+    /// `table_escalations`, `table_deescalations` and
+    /// `table_seed_rotations`.
     pub(crate) fn export(
         &self,
         registry: &Registry,
         labels: &[(&str, &str)],
     ) -> Result<(), RegistryError> {
-        registry.register_histogram("table_probe_len", labels, self.probe_len.clone())?;
         registry.register_counter("table_drain_ops", labels, self.drain_ops.clone())?;
         registry.register_counter("table_epochs_opened", labels, self.epochs_opened.clone())?;
         registry.register_counter(
@@ -159,14 +157,7 @@ impl TableObs {
         registry.register_counter("table_batch_keys", labels, self.batch_keys.clone())?;
         registry.register_counter("table_escalations", labels, self.escalations.clone())?;
         registry.register_counter("table_deescalations", labels, self.deescalations.clone())?;
-        registry.register_counter("table_seed_rotations", labels, self.seed_rotations.clone())?;
-        // The probe tail is a point-in-time sample, not a monotone count:
-        // exported as a gauge reading the latest detector snapshot.
-        let tail = self.probe_tail.clone();
-        registry.export_gauge("table_probe_tail", labels, move || {
-            tail.load(Ordering::Relaxed)
-        })?;
-        Ok(())
+        registry.register_counter("table_seed_rotations", labels, self.seed_rotations.clone())
     }
 }
 
@@ -266,9 +257,7 @@ where
         if self.len == 0 {
             return;
         }
-        if sepe_obs::enabled() {
-            self.obs.epochs_opened.inc();
-        }
+        self.obs.epochs_opened.inc();
         let buckets = self.heads.len();
         let old_heads = std::mem::replace(&mut self.heads, vec![NONE; buckets]);
         self.migration = Some(Migration {
@@ -308,16 +297,14 @@ where
             mig.old_len -= 1;
             moved += 1;
         }
-        if sepe_obs::enabled() && moved > 0 {
+        if moved > 0 {
             self.obs.drain_ops.add(moved as u64);
         }
         if mig.old_len > 0 {
             self.migration = Some(mig);
         } else {
             self.stale_reads.reset();
-            if sepe_obs::enabled() {
-                self.obs.epochs_finished.inc();
-            }
+            self.obs.epochs_finished.inc();
         }
     }
 
@@ -440,17 +427,10 @@ where
     }
 
     /// Walks the chain starting at `at` for an entry with `hash` whose key
-    /// bytes equal `key_bytes`. `probes` counts the entries examined.
+    /// bytes equal `key_bytes`.
     #[inline]
-    fn find_in_chain(
-        &self,
-        mut at: u32,
-        hash: u64,
-        key_bytes: &[u8],
-        probes: &mut u64,
-    ) -> Option<u32> {
+    fn find_in_chain(&self, mut at: u32, hash: u64, key_bytes: &[u8]) -> Option<u32> {
         while at != NONE {
-            *probes += 1;
             let e = &self.entries[at as usize];
             if e.hash == hash {
                 if let Some((k, _)) = &e.kv {
@@ -486,22 +466,11 @@ where
                 self.obs.stale_probes.inc();
             }
         }
-        let mut probes = 0u64;
-        let found = self
-            .find_in_chain(
-                self.heads[self.bucket_of(hash)],
-                hash,
-                key_bytes,
-                &mut probes,
-            )
+        self.find_in_chain(self.heads[self.bucket_of(hash)], hash, key_bytes)
             .or_else(|| {
                 let (head, old_hash) = self.old_epoch_probe(key_bytes)?;
-                self.find_in_chain(head, old_hash, key_bytes, &mut probes)
-            });
-        if sepe_obs::enabled() {
-            self.obs.probe_len.observe(probes);
-        }
-        found
+                self.find_in_chain(head, old_hash, key_bytes)
+            })
     }
 
     /// [`RawTable::insert_unique`] with the hash already computed. The
@@ -666,9 +635,7 @@ where
             self.migration = Some(mig);
         } else {
             self.stale_reads.reset();
-            if sepe_obs::enabled() {
-                self.obs.epochs_finished.inc();
-            }
+            self.obs.epochs_finished.inc();
         }
         found
     }
@@ -725,7 +692,7 @@ where
         self.len = 0;
         // A discarded epoch still counts as retired, so opened/finished
         // stay balanced for metric cross-checks.
-        if sepe_obs::enabled() && self.migration.is_some() {
+        if self.migration.is_some() {
             self.obs.epochs_finished.inc();
         }
         self.migration = None;

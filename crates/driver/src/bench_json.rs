@@ -525,8 +525,9 @@ pub fn adversarial_records(scale: &RunScale, config: &BenchConfig) -> Vec<Advers
 /// table and guard metrics exported into one [`sepe_obs::Registry`]
 /// under a `format` label. Because the workload is single-threaded and
 /// every input is seeded, the resulting [`sepe_obs::Snapshot`] is
-/// byte-identical across runs at the same scale (with the `obs` feature
-/// off the counters stay registered at zero, still deterministically).
+/// byte-identical across runs at the same scale. With the `obs` feature
+/// off only the per-operation telemetry counters read zero; the epoch,
+/// drain and guard counts are the same in both builds.
 #[must_use]
 pub fn metrics_snapshot(scale: &RunScale, config: &BenchConfig) -> sepe_obs::Snapshot {
     let registry = sepe_obs::Registry::new();
@@ -905,16 +906,14 @@ mod tests {
             b.render(),
             "same scale, same seeds, same snapshot bytes"
         );
-        if sepe_obs::enabled() {
-            // One degrade per format: the epoch opened, drained completely,
-            // and every resident entry moved.
-            let opened = a.counter_family_total("table_epochs_opened");
-            let finished = a.counter_family_total("table_epochs_finished");
-            assert_eq!(opened, scale.formats.len() as u64, "{a:?}");
-            assert_eq!(opened, finished, "quiescent snapshot balances epochs");
-            assert!(a.counter_family_total("table_drain_ops") > 0);
-            assert!(a.counter_family_total("guard_in_format") > 0);
-        }
+        // One degrade per format: the epoch opened, drained completely,
+        // and every resident entry moved.
+        let opened = a.counter_family_total("table_epochs_opened");
+        let finished = a.counter_family_total("table_epochs_finished");
+        assert_eq!(opened, scale.formats.len() as u64, "{a:?}");
+        assert_eq!(opened, finished, "quiescent snapshot balances epochs");
+        assert!(a.counter_family_total("table_drain_ops") > 0);
+        assert!(a.counter_family_total("guard_in_format") > 0);
     }
 
     #[test]

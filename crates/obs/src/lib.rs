@@ -28,13 +28,16 @@
 //! # The `obs` façade
 //!
 //! The metric primitives are always compiled and always correct — guard
-//! drift counters are load-bearing (degradation policy reads them), so
-//! they cannot be compiled away. What *can* be compiled away is the pure
-//! observability instrumentation layered on the hot paths: probe-length
-//! histograms, lock-acquisition counters, batch chunk counters. Call
-//! sites gate those bumps on [`enabled()`], a `const fn` on
-//! `cfg!(feature = "obs")`, so an `obs`-off build folds the whole branch
-//! to nothing.
+//! drift counters are load-bearing (degradation policy reads them), and
+//! the containers' transition counts (migration epochs, escalation-ladder
+//! rungs, shard degrades) are product state a caller may read, so none of
+//! them is compiled away. What *can* be compiled away is the per-operation
+//! telemetry layered on the hot paths: stale-probe and batch-chunk
+//! counters and event traces. Call sites gate those bumps on
+//! [`enabled()`], a `const fn` on `cfg!(feature = "obs")`, so an
+//! `obs`-off build folds the whole branch to nothing. No product decision
+//! reads a gated instrument, so a container behaves identically with the
+//! feature on or off.
 //!
 //! Locking discipline: counters, gauges, and histograms are wait-free on
 //! the write path (one relaxed RMW). The registry and trace use a mutex,
@@ -59,8 +62,8 @@ pub use trace::EventTrace;
 ///
 /// This is `const`, so `if sepe_obs::enabled() { ... }` disappears
 /// entirely from `obs`-off builds — the near-zero-cost façade the hot
-/// paths are instrumented behind. Load-bearing counters (guard drift)
-/// must *not* be gated on this.
+/// paths are instrumented behind. Load-bearing counters (guard drift) and
+/// transition counts must *not* be gated on this.
 #[inline(always)]
 #[must_use]
 pub const fn enabled() -> bool {

@@ -307,7 +307,8 @@ where
 /// [`ShardedMap::drift_counts`], the `shard_degrades` counter (and the
 /// degrade event trace) must equal the worker-observed degradations, and
 /// after the quiescent drain every opened migration epoch must be
-/// finished. A no-op in `obs`-off builds, where the counters stay zero.
+/// finished. These counts are product state, so they are checked in every
+/// build; only the event-trace check needs the `obs` feature.
 fn check_metrics_against_ground_truth<G>(
     map: &ShardedMap<Vec<u8>, u64, SynthesizedHash, G>,
     stats: &ConcurrentStats,
@@ -315,9 +316,6 @@ fn check_metrics_against_ground_truth<G>(
 where
     G: ByteHash + Clone + Send + Sync,
 {
-    if !sepe_obs::enabled() {
-        return Ok(());
-    }
     let registry = sepe_obs::Registry::new();
     map.export_metrics(&registry)
         .map_err(|e| format!("metrics export failed: {e}"))?;
@@ -346,7 +344,7 @@ where
         ));
     }
     let events = map.degrade_events().len();
-    if events != stats.degradations {
+    if sepe_obs::enabled() && events != stats.degradations {
         return Err(format!(
             "metrics drift: degrade event trace holds {events} events, \
              workers observed {} degradations",
